@@ -126,6 +126,19 @@ let bench_program name =
 
 let promote_all _ = true
 
+(* Thread scaling: [CS.twostage_bad] among noise workers, [n] threads in
+   all, executed under the round-robin scheduler and walked by IDB at a
+   small limit. Per-step cost should stay roughly flat in [n]; the
+   baseline gate bounds its growth from the narrowest to the widest. *)
+let scaling_threads = [ 10; 50; 100; 200 ]
+let scaling_idb_limit = 10
+let twostage_threads n = Sctbench.Cs.twostage_n_bad (n - 3)
+let scaling_name n = Printf.sprintf "twostage_%d" n
+
+let idb_walk program () =
+  Sct_explore.Bounded.explore ~promote:promote_all
+    ~kind:Sct_explore.Bounded.Delay_bounding ~limit:scaling_idb_limit program
+
 let perf_tests () =
   let small = bench_program "CS.twostage_bad" in
   let wsq = bench_program "chess.WSQ" in
@@ -168,6 +181,26 @@ let perf_tests () =
                  (Sct_explore.Driver.explore ~promote:promote_all ~limit:300
                     (Sct_explore.Axes.length ()) cas)));
       ]
+  in
+  let scaling =
+    Test.make_grouped ~name:"thread-scaling"
+      (List.concat_map
+         (fun n ->
+           let program = twostage_threads n in
+           [
+             Test.make
+               ~name:("rr-execution/" ^ scaling_name n)
+               (Staged.stage (fun () ->
+                    Sys.opaque_identity
+                      (Sct_core.Runtime.exec ~promote:promote_all
+                         ~record_decisions:false ~scheduler:rr_scheduler
+                         program)));
+             Test.make
+               ~name:("idb/" ^ scaling_name n)
+               (Staged.stage (fun () ->
+                    Sys.opaque_identity (idb_walk program ())));
+           ])
+         scaling_threads)
   in
   let techniques =
     (* per-technique cost of exploring (up to) 25 terminal schedules of the
@@ -291,7 +324,7 @@ let perf_tests () =
       ]
   in
   Test.make_grouped ~name:"sctbench"
-    [ engine; techniques; yield_loops; race; parallel; tables ]
+    [ engine; scaling; techniques; yield_loops; race; parallel; tables ]
 
 (* Extension ablation 1 (paper §8 future work): partial-order reduction.
    POR needs complete dependence information, so every location is promoted
@@ -521,26 +554,60 @@ let steps_per_exec program =
     .Sct_core.Runtime.r_steps
 
 let engine_benchmarks =
-  [
-    ("rr-execution/twostage", "CS.twostage_bad");
-    ("rr-execution/wsq", "chess.WSQ");
-    ("rr-execution/spinwait", "yield.spinwait_bad");
-  ]
+  List.map
+    (fun (key, name) -> (key, bench_program name))
+    [
+      ("rr-execution/twostage", "CS.twostage_bad");
+      ("rr-execution/wsq", "chess.WSQ");
+      ("rr-execution/spinwait", "yield.spinwait_bad");
+    ]
+  @ List.map
+      (fun n -> ("rr-execution/" ^ scaling_name n, twostage_threads n))
+      scaling_threads
 
 let find_perf perf_rows suffix =
   List.find_opt (fun (n, _) -> String.ends_with ~suffix n) perf_rows
   |> Option.map snd
 
-let bench_json ~perf_rows ~jobs_sweep ~steps_rows =
+(* Per-step cost of the thread-scaling group: (threads, round-robin
+   ns/step, IDB-walk ns/step), for every [n] whose two rows were measured. *)
+let scaling_rows perf_rows =
+  List.filter_map
+    (fun n ->
+      let program = twostage_threads n in
+      match
+        ( find_perf perf_rows ("rr-execution/" ^ scaling_name n),
+          find_perf perf_rows ("idb/" ^ scaling_name n) )
+      with
+      | Some rr_ns, Some idb_ns ->
+          let rr_steps = steps_per_exec program in
+          let idb_steps =
+            (idb_walk program ()).Sct_explore.Stats.steps_executed
+          in
+          Some
+            ( n,
+              rr_ns /. float_of_int rr_steps,
+              idb_ns /. float_of_int idb_steps )
+      | _ -> None)
+    scaling_threads
+
+let print_scaling rows =
+  hr "Thread scaling (ns/step)";
+  Printf.printf "%8s %14s %14s\n" "threads" "rr-execution" "idb";
+  List.iter
+    (fun (n, rr, idb) -> Printf.printf "%8d %14.1f %14.1f\n" n rr idb)
+    rows
+
+let bench_json ~perf_rows ~jobs_sweep ~steps_rows ~scaling =
   let open Sct_store.Json in
   let ns_int f = max 1 (int_of_float (Float.round f)) in
   let engine =
     List.filter_map
-      (fun (key, bench) ->
+      (fun (key, program) ->
         match find_perf perf_rows key with
         | None -> None
         | Some ns ->
-            let steps = steps_per_exec (bench_program bench) in
+            let steps = steps_per_exec program in
             Some
               ( key,
                 Obj
@@ -598,6 +665,18 @@ let bench_json ~perf_rows ~jobs_sweep ~steps_rows =
       ("jobs_sweep", Arr sweep);
       ("steps_benches", Arr (List.map (fun n -> Str n) steps_benches));
       ("steps", Obj steps);
+      ( "thread_scaling",
+        Obj
+          (List.map
+             (fun (n, rr, idb) ->
+               ( scaling_name n,
+                 Obj
+                   [
+                     ("threads", Int n);
+                     ("rr_ns_per_step", Int (ns_int rr));
+                     ("idb_ns_per_step", Int (ns_int idb));
+                   ] ))
+             scaling) );
     ]
 
 let write_out path json =
@@ -609,9 +688,11 @@ let write_out path json =
 
 (* Fail (exit 1) if any engine benchmark regressed more than
    [--baseline-factor] (default 2x) against the committed baseline's
-   ns_per_run, or if the prefix-batched executor's steps cut dropped below
-   the baseline's per-technique [min_factor_x100] floor. *)
-let check_baseline ~perf_rows ~steps_rows path =
+   ns_per_run, if the prefix-batched executor's steps cut dropped below
+   the baseline's per-technique [min_factor_x100] floor, or if per-step
+   cost at the widest thread-scaling point exceeds the narrowest's by more
+   than the baseline's [thread_scaling.max_factor_x100]. *)
+let check_baseline ~perf_rows ~steps_rows ~scaling path =
   let doc =
     In_channel.with_open_bin path In_channel.input_all
     |> Sct_store.Json.of_string
@@ -671,6 +752,35 @@ let check_baseline ~perf_rows ~steps_rows path =
           | _ -> ())
         floors
   | _ -> ());
+  (match Sct_store.Json.member "thread_scaling" doc with
+  | Some entry -> (
+      match
+        ( Sct_store.Json.member "max_factor_x100" entry,
+          scaling,
+          List.rev scaling )
+      with
+      | ( Some (Sct_store.Json.Int cap),
+          (n0, rr0, idb0) :: _,
+          (n1, rr1, idb1) :: _ )
+        when n1 > n0 ->
+          List.iter
+            (fun (what, narrow, wide) ->
+              let factor = wide /. narrow in
+              Printf.printf
+                "baseline check: thread-scaling/%-11s %d->%d threads %.2fx \
+                 ns/step (cap %d.%02dx)\n"
+                what n0 n1 factor (cap / 100) (cap mod 100);
+              if factor *. 100. > float_of_int cap then begin
+                Printf.printf
+                  "  REGRESSION: per-step cost grows superlinearly with the \
+                   thread count\n";
+                failed := true
+              end)
+            [ ("rr-execution", rr0, rr1); ("idb", idb0, idb1) ]
+      | _ ->
+          Printf.printf "baseline check: thread-scaling not measured\n";
+          failed := true)
+  | None -> ());
   if !failed then begin
     Printf.printf "baseline check FAILED\n";
     exit 1
@@ -723,9 +833,12 @@ let () =
     if wants "jobs" then timed "jobs" run_jobs else []
   in
   let perf_rows = if wants "perf" then timed "perf" run_perf else [] in
+  let scaling = scaling_rows perf_rows in
+  if scaling <> [] then print_scaling scaling;
   (match out_file with
   | None -> ()
-  | Some path -> write_out path (bench_json ~perf_rows ~jobs_sweep ~steps_rows));
+  | Some path ->
+      write_out path (bench_json ~perf_rows ~jobs_sweep ~steps_rows ~scaling));
   match baseline_file with
   | None -> ()
-  | Some path -> check_baseline ~perf_rows ~steps_rows path
+  | Some path -> check_baseline ~perf_rows ~steps_rows ~scaling path

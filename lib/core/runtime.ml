@@ -92,6 +92,10 @@ type t = {
   mutable n_live : int;  (* unfinished threads *)
   mutable n_enabled : int;  (* threads with [t_enabled] *)
   mutable enabled_fp : int;  (* xor fingerprint of the enabled set *)
+  mutable enabled_cache : Tid.t list;
+      (* the enabled set in ascending tid order, valid unless
+         [enabled_stale]: most steps leave the set unchanged *)
+  mutable enabled_stale : bool;
   mutable dirty : int array;  (* stack of tids awaiting re-evaluation *)
   mutable n_dirty : int;
   (* One effect handler is shared by every fibre of the execution (the
@@ -211,6 +215,9 @@ let pending_obj_id rt tid =
   | Run_spawn _ | Blocked_cond _ | Blocked_barrier _ | Finished -> -1
 
 let thread_live rt tid = (thread rt tid).t_live
+let is_enabled rt tid = (thread rt tid).t_enabled
+let preemptions rt = rt.pc
+let delays rt = rt.dc
 
 let mutex_st rt id ~ctx =
   match find_object rt id with
@@ -357,6 +364,14 @@ let eval_enabled rt th =
       | Op.Access _ | Op.Yield ->
           true)
 
+(* Flip a thread's cached enabled bit, keeping the counters, the
+   fingerprint and the enabled-list cache in step. *)
+let set_enabled rt th now =
+  th.t_enabled <- now;
+  rt.n_enabled <- rt.n_enabled + (if now then 1 else -1);
+  rt.enabled_fp <- rt.enabled_fp lxor fp_tid th.tid;
+  rt.enabled_stale <- true
+
 (* Drain the dirty stack, updating the cached liveness/enabledness counters
    and the enabled-set fingerprint. Finishing threads wake their joiners,
    which may push further work — the loop runs until the stack is empty. *)
@@ -372,11 +387,7 @@ let flush_dirty rt =
       touch_joiners rt th
     end;
     let now = eval_enabled rt th in
-    if now <> th.t_enabled then begin
-      th.t_enabled <- now;
-      rt.n_enabled <- rt.n_enabled + (if now then 1 else -1);
-      rt.enabled_fp <- rt.enabled_fp lxor fp_tid tid
-    end
+    if now <> th.t_enabled then set_enabled rt th now
   done
 
 let live_tids rt =
@@ -388,15 +399,33 @@ let live_tids rt =
   done;
   !acc
 
-(* Collect the enabled set, in ascending tid order, from the cached bits. *)
+(* The enabled set, in ascending tid order, collected from the cached bits
+   only when one of them flipped since the last collection. *)
 let enabled_list rt =
-  let acc = ref [] in
-  for i = rt.count - 1 downto 0 do
-    match rt.threads.(i) with
-    | Some th when th.t_enabled -> acc := th.tid :: !acc
-    | _ -> ()
+  if rt.enabled_stale then begin
+    let acc = ref [] in
+    for i = rt.count - 1 downto 0 do
+      match rt.threads.(i) with
+      | Some th when th.t_enabled -> acc := th.tid :: !acc
+      | _ -> ()
+    done;
+    rt.enabled_cache <- !acc;
+    rt.enabled_stale <- false
+  end;
+  rt.enabled_cache
+
+(* The number of enabled threads in the round-robin gap from [l] up to,
+   but excluding, [t]: the delays of switching from [l] to [t]. *)
+let enabled_in_gap rt l t =
+  let k = ref 0 in
+  let x = ref l in
+  while !x <> t do
+    (match rt.threads.(!x) with
+    | Some th when th.t_enabled -> incr k
+    | _ -> ());
+    x := if !x + 1 = rt.count then 0 else !x + 1
   done;
-  !acc
+  !k
 
 (* The unique enabled thread when [n_enabled = 1]. Run-to-block stretches
    keep scheduling the same thread, so check [last] before scanning. *)
@@ -501,12 +530,7 @@ let add_thread rt f =
     th.t_live <- true;
     rt.n_live <- rt.n_live + 1
   end;
-  let en = eval_enabled rt th in
-  if en then begin
-    th.t_enabled <- true;
-    rt.n_enabled <- rt.n_enabled + 1;
-    rt.enabled_fp <- rt.enabled_fp lxor fp_tid tid
-  end;
+  if eval_enabled rt th then set_enabled rt th true;
   tid
 
 let wake_cond_waiter rt cid w mid =
@@ -795,6 +819,8 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
       n_live = 0;
       n_enabled = 0;
       enabled_fp = 0;
+      enabled_cache = [];
+      enabled_stale = true;
       dirty = Array.make 8 0;
       n_dirty = 0;
       handler = None;
@@ -845,11 +871,9 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
             let n_enabled = rt.n_enabled in
             if n_enabled > rt.max_enabled then rt.max_enabled <- n_enabled;
             if n_enabled > 1 then rt.multi_points <- rt.multi_points + 1;
-            let th, enabled =
-              if n_enabled = 1 then
-                let th = single_enabled rt in
-                (th, th.t_singleton)
-              else (thread rt 0, enabled_list rt)
+            let enabled =
+              if n_enabled = 1 then (single_enabled rt).t_singleton
+              else enabled_list rt
             in
             ctx.c_step <- rt.steps;
             ctx.c_last <- rt.last;
@@ -857,19 +881,17 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
             ctx.c_enabled_fp <- rt.enabled_fp;
             ctx.c_n_threads <- rt.count;
             let chosen = scheduler ctx in
+            (* the cached bits answer "is it enabled?" in O(1); the range
+               test keeps a bogus tid on the diagnostic below *)
             let th =
-              if n_enabled = 1 then begin
-                if not (Tid.equal chosen th.tid) then
+              match
+                if chosen >= 0 && chosen < rt.count then rt.threads.(chosen)
+                else None
+              with
+              | Some th when th.t_enabled -> th
+              | _ ->
                   invalid_arg
-                    "Sct_core.Runtime: scheduler chose a disabled thread";
-                th
-              end
-              else begin
-                if not (List.exists (Tid.equal chosen) enabled) then
-                  invalid_arg
-                    "Sct_core.Runtime: scheduler chose a disabled thread";
-                thread rt chosen
-              end
+                    "Sct_core.Runtime: scheduler chose a disabled thread"
             in
             if record_decisions then
               rt.decisions_rev <-
@@ -881,12 +903,12 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
                 }
                 :: rt.decisions_rev;
             push_sched rt chosen;
-            if n_enabled > 1 then begin
-              (* with a single enabled thread both deltas are 0 *)
-              rt.pc <- rt.pc + Preemption.delta ~last:rt.last ~enabled chosen;
-              rt.dc <-
-                rt.dc + Delay.delays ~n:rt.count ~last:rt.last ~enabled chosen
-            end;
+            (match rt.last with
+            | Some l when n_enabled > 1 && not (Tid.equal l chosen) ->
+                (* with a single enabled thread both increments are 0 *)
+                if is_enabled rt l then rt.pc <- rt.pc + 1;
+                rt.dc <- rt.dc + enabled_in_gap rt l chosen
+            | _ -> ());
             (match rt.last with
             | Some l when Tid.equal l chosen -> ()
             | _ -> rt.last <- Some chosen);

@@ -173,6 +173,16 @@ val thread_live : t -> Tid.t -> bool
 (** Whether [tid] has been created and not yet finished (it may be blocked).
     Fair bounding compares yield counts across live threads. *)
 
+val is_enabled : t -> Tid.t -> bool
+(** Whether [tid] is enabled at the current decision: an O(1) read of the
+    cached bit behind [c_enabled]. *)
+
+val preemptions : t -> int
+val delays : t -> int
+(** The preemption and delay counts of the schedule so far (the [r_pc] and
+    [r_dc] the execution will report, up to the current decision). The
+    bounded explorers read their spent budget here rather than recount. *)
+
 val thread_finished : t -> Tid.t -> bool
 val n_threads : t -> int
 

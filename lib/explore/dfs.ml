@@ -58,12 +58,61 @@ type frontier_info = Strategy.frontier_info = {
   fi_branched_below : bool;
 }
 
+(* --- bound cost by round-robin position -------------------------------- *)
+
+(* Once a schedule has a last thread, the k-th thread of [Delay.rr_order]
+   costs exactly k delays (the threads before it are the enabled threads
+   the round-robin walk skips), and every thread but the first costs [step]
+   under the preemption-style bounds: [step] is 0 unless the last thread is
+   still enabled, in which case it is the first. Costs never decrease along
+   the order, so a decision's in-bound children are a prefix of it whose
+   length follows from the budget alone: no per-child cost is computed.
+   Returns the prefix ([order] itself when every child fits) and whether
+   any child was left out. *)
+let in_bound_prefix bound ~budget ~last ~step order =
+  let keep =
+    match (bound, last) with
+    | _ when budget < 0 -> 0
+    | Unbounded, _ | _, None -> max_int
+    | Delay _, Some _ -> if budget = max_int then max_int else budget + 1
+    | (Preemption _ | Variable _ | Threads _), Some _ ->
+        if step <= budget then max_int else 1
+  in
+  let rec take k = function
+    | [] -> ([], false)
+    | _ :: _ when k = 0 -> ([], true)
+    | t :: rest ->
+        let kept, over = take (k - 1) rest in
+        (t :: kept, over)
+  in
+  if keep = max_int then (order, false) else take keep order
+
+(* [step] for preemption bounding: the one test of "is the last thread
+   still enabled?" per decision. *)
+let preemption_step (ctx : Runtime.ctx) =
+  match ctx.c_last with
+  | Some l when Runtime.is_enabled ctx.c_rt l -> 1
+  | _ -> 0
+
+(* The in-bound children of the decision in [ctx]. The cost spent so far
+   is the runtime's own PC/DC for preemption and delay bounding, and the
+   run's [footprint] cardinality for the footprint bounds. *)
+let in_bound_children bound (ctx : Runtime.ctx) ~footprint ~step =
+  let budget =
+    match bound with
+    | Unbounded -> max_int
+    | Preemption c -> c - Runtime.preemptions ctx.c_rt
+    | Delay c -> c - Runtime.delays ctx.c_rt
+    | Variable c | Threads c -> c - footprint
+  in
+  in_bound_prefix bound ~budget ~last:ctx.c_last ~step
+    (Delay.rr_order ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled:ctx.c_enabled)
+
 (* --- the walk: one (bounded) level of the schedule tree ----------------- *)
 
 module Walk = struct
   type t = {
     w_bound : bound;
-    w_bound_c : int;
     w_count_exact : int option;
     w_fair : int option;
     w_length : int option;
@@ -72,14 +121,13 @@ module Walk = struct
     st : stack;
     mutable replay_len : int;
     mutable depth : int;
-    mutable cur_count : int;
     mutable pruned : bool;
     mutable aux_pruned : bool;
     mutable cut_run : bool;
     mutable branched_below : bool;
     mutable exhausted : bool;
     (* per-run footprint of preemption keys (Variable/Threads bounds):
-       [cur_count] is its cardinality *)
+       [foot_len] is its cardinality, the cost the run has spent *)
     mutable foot : int array;
     mutable foot_len : int;
     (* per-run yield counts by tid (fair bounding only) *)
@@ -91,10 +139,6 @@ module Walk = struct
     let w =
       {
         w_bound = bound;
-        w_bound_c =
-          (match bound with
-          | Unbounded -> max_int
-          | Preemption c | Delay c | Variable c | Threads c -> c);
         w_count_exact = count_exact;
         w_fair = fair;
         w_length = length;
@@ -103,7 +147,6 @@ module Walk = struct
         st = { frames = Array.init 1024 (fun _ -> fresh_frame ()); len = 0 };
         replay_len = 0;
         depth = 0;
-        cur_count = 0;
         pruned = false;
         aux_pruned = false;
         cut_run = false;
@@ -154,31 +197,30 @@ module Walk = struct
     | Threads _, Some l -> l
     | _ -> -1
 
-  (* Cost of scheduling [t] next, without committing anything. For the
-     footprint bounds a preemption costs 1 only the first time its key
-     enters this run's footprint, so the cost of a path is the cardinality
-     of its footprint — path-determined, hence monotone in the bound. *)
-  let delta w (ctx : Runtime.ctx) t =
+  (* The cost of any non-first child of the round-robin order at this
+     decision. For the footprint bounds a preemption costs 1 only the first
+     time its key enters this run's footprint, so the cost of a path is the
+     cardinality of its footprint — path-determined, hence monotone in the
+     bound. The key is the preempted (last) thread's, the same for every
+     child. *)
+  let step w (ctx : Runtime.ctx) =
     match w.w_bound with
-    | Unbounded -> 0
-    | Preemption _ ->
-        Preemption.delta ~last:ctx.c_last ~enabled:ctx.c_enabled t
-    | Delay _ ->
-        Delay.delays ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled:ctx.c_enabled
-          t
+    | Unbounded | Delay _ -> 0
+    | Preemption _ -> preemption_step ctx
     | Variable _ | Threads _ ->
-        if Preemption.delta ~last:ctx.c_last ~enabled:ctx.c_enabled t = 0 then 0
-        else if foot_mem w (foot_key w ctx) then 0
+        if preemption_step ctx = 0 || foot_mem w (foot_key w ctx) then 0
         else 1
 
-  (* Commit the chosen decision's bound cost (recording the footprint key
-     when it is new). *)
-  let commit_count w (ctx : Runtime.ctx) t =
-    let d = delta w ctx t in
-    (match w.w_bound with
-    | (Variable _ | Threads _) when d > 0 -> foot_add w (foot_key w ctx)
-    | _ -> ());
-    w.cur_count <- w.cur_count + d
+  (* Record the footprint key of the chosen decision when it preempts the
+     last thread ([step] = 1 only when that key is new). PC and DC need no
+     commit: the runtime counts them. *)
+  let commit_footprint w (ctx : Runtime.ctx) ~step t =
+    match ctx.c_last with
+    | Some l when step > 0 && not (Tid.equal l t) -> (
+        match w.w_bound with
+        | Variable _ | Threads _ -> foot_add w (foot_key w ctx)
+        | Unbounded | Preemption _ | Delay _ -> ())
+    | _ -> ()
 
   let yield_count w t = if t < Array.length w.yields then w.yields.(t) else 0
 
@@ -195,22 +237,23 @@ module Walk = struct
       w.yields.(t) <- w.yields.(t) + 1
     end
 
+  (* The least yield count over the live threads, computed at most once
+     per decision for [fair_ok], and only when a child yields. *)
+  let min_yield w (ctx : Runtime.ctx) =
+    let min_y = ref max_int in
+    for tid = 0 to ctx.c_n_threads - 1 do
+      if Runtime.thread_live ctx.c_rt tid then
+        min_y := min !min_y (yield_count w tid)
+    done;
+    !min_y
+
   (* Fair bounding admits a yield by [t] only while its yield count stays
-     within [b] of the least-yielding live thread — so a thread spinning in
-     a yield loop is forced to let the threads it waits on run. Non-yield
-     operations are never restricted. *)
-  let fair_ok w (ctx : Runtime.ctx) t =
-    match w.w_fair with
-    | None -> true
-    | Some b ->
-        (not (Runtime.pending_is_yield ctx.c_rt t))
-        ||
-        let min_y = ref max_int in
-        for tid = 0 to ctx.c_n_threads - 1 do
-          if Runtime.thread_live ctx.c_rt tid then
-            min_y := min !min_y (yield_count w tid)
-        done;
-        yield_count w t + 1 - !min_y <= b
+     within [b] of the least-yielding live thread ([min_y]) — so a thread
+     spinning in a yield loop is forced to let the threads it waits on run.
+     Non-yield operations are never restricted. *)
+  let fair_ok w (ctx : Runtime.ctx) ~b ~min_y t =
+    (not (Runtime.pending_is_yield ctx.c_rt t))
+    || yield_count w t + 1 - Lazy.force min_y <= b
 
   let cut w =
     w.aux_pruned <- true;
@@ -219,7 +262,6 @@ module Walk = struct
 
   let begin_run w =
     w.depth <- 0;
-    w.cur_count <- 0;
     w.branched_below <- false;
     w.cut_run <- false;
     w.foot_len <- 0;
@@ -240,51 +282,45 @@ module Walk = struct
               mismatch at decision %d (is the program's state created \
               inside its closure?)"
              i);
-      commit_count w ctx fr.chosen;
+      commit_footprint w ctx ~step:(step w ctx) fr.chosen;
       if w.w_fair <> None then note_yield w ctx fr.chosen;
       fr.chosen
     end
     else begin
       match ctx.c_enabled with
       | [ t ] ->
-          (* the only child; its delta is 0, so it is always in bound —
+          (* the only child; its cost is 0, so it is always in bound —
              but fair bounding may still cut an unaccompanied yield loop *)
-          if w.w_fair <> None then begin
-            if not (fair_ok w ctx t) then cut w;
-            note_yield w ctx t
-          end;
+          (match w.w_fair with
+          | Some b ->
+              let min_y = lazy (min_yield w ctx) in
+              if not (fair_ok w ctx ~b ~min_y t) then cut w;
+              note_yield w ctx t
+          | None -> ());
           if i < w.w_max_branch_depth then
             push w.st ~chosen:t ~rest:[] ~enabled:ctx.c_enabled
               ~fp:ctx.c_enabled_fp;
           t
       | enabled -> (
-          let order =
-            Delay.rr_order ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled
+          let step = step w ctx in
+          let in_bound, over =
+            in_bound_children w.w_bound ctx ~footprint:w.foot_len ~step
           in
+          (* attribute the shortfall: a structural-bound cut climbs
+             iterated-bounding levels ([pruned]); a fair cut only clears
+             completeness ([aux_pruned]) — no larger structural bound
+             would restore the filtered children *)
+          if over then w.pruned <- true;
           let allowed =
-            List.filter
-              (fun t ->
-                w.cur_count + delta w ctx t <= w.w_bound_c && fair_ok w ctx t)
-              order
+            match w.w_fair with
+            | None -> in_bound
+            | Some b ->
+                let min_y = lazy (min_yield w ctx) in
+                let fair = List.filter (fair_ok w ctx ~b ~min_y) in_bound in
+                if List.compare_lengths fair in_bound < 0 then
+                  w.aux_pruned <- true;
+                fair
           in
-          if List.compare_lengths allowed order < 0 then begin
-            (* attribute the shortfall: a structural-bound cut climbs
-               iterated-bounding levels ([pruned]); a fair cut only clears
-               completeness ([aux_pruned]) — no larger structural bound
-               would restore the filtered children *)
-            if
-              List.exists
-                (fun t -> w.cur_count + delta w ctx t > w.w_bound_c)
-                order
-            then w.pruned <- true;
-            if
-              List.exists
-                (fun t ->
-                  w.cur_count + delta w ctx t <= w.w_bound_c
-                  && not (fair_ok w ctx t))
-                order
-            then w.aux_pruned <- true
-          end;
           match allowed with
           | [] ->
               (* A zero-cost child always exists within any structural
@@ -301,7 +337,7 @@ module Walk = struct
                 if rest <> [] then w.branched_below <- true
               end
               else push w.st ~chosen:t ~rest ~enabled ~fp:ctx.c_enabled_fp;
-              commit_count w ctx t;
+              commit_footprint w ctx ~step t;
               if w.w_fair <> None then note_yield w ctx t;
               t)
     end
@@ -334,7 +370,7 @@ module Walk = struct
       | Delay _ -> res.r_dc
       (* footprint cardinality is path-dependent, so it is read off the
          walk's own accounting at the terminal, not the result record *)
-      | Variable _ | Threads _ -> w.cur_count
+      | Variable _ | Threads _ -> w.foot_len
     in
     match w.w_count_exact with None -> true | Some c -> exact = c
 

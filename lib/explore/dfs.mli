@@ -55,6 +55,47 @@ type frontier_info = Strategy.frontier_info = {
 (** Per-execution frontier information reported to [on_exec]; used by the
     parallel engine (lib/parallel) to partition the schedule tree. *)
 
+(** {1 Bound cost by round-robin position}
+
+    Once a schedule has a last thread, the [k]-th child of
+    {!Sct_core.Delay.rr_order} costs exactly [k] delays, and every child but
+    the first costs [step] preemptions, where [step] is 1 iff the last
+    thread is still enabled (it is then the first child). Costs never
+    decrease along the order, so the in-bound children of a decision are a
+    prefix of it, found without computing any per-child cost. *)
+
+val in_bound_prefix :
+  bound ->
+  budget:int ->
+  last:Sct_core.Tid.t option ->
+  step:int ->
+  Sct_core.Tid.t list ->
+  Sct_core.Tid.t list * bool
+(** [in_bound_prefix bound ~budget ~last ~step order] is the longest prefix
+    of [order] (a {!Sct_core.Delay.rr_order}) whose children cost at most
+    [budget], and whether any child was left out. [step] is the cost of a
+    non-first child under [Preemption], [Variable] and [Threads] (for the
+    footprint bounds, 0 when the preemption's key is already in the run's
+    footprint); it is ignored under [Unbounded] and [Delay]. Every child
+    costs 0 when [last] is [None]. [order] itself is returned when every
+    child fits; otherwise the walk stops after the kept children. *)
+
+val preemption_step : Sct_core.Runtime.ctx -> int
+(** The [step] of preemption bounding at the decision: 1 iff the last
+    thread is still enabled (an O(1) read of the runtime's cached bit). *)
+
+val in_bound_children :
+  bound ->
+  Sct_core.Runtime.ctx ->
+  footprint:int ->
+  step:int ->
+  Sct_core.Tid.t list * bool
+(** {!in_bound_prefix} at the decision in [ctx]: over the decision's
+    round-robin order, with the budget left after the cost spent so far —
+    the runtime's own {!Sct_core.Runtime.preemptions} or
+    {!Sct_core.Runtime.delays}, or [footprint] (the run's footprint
+    cardinality) under the footprint bounds. *)
+
 (** The reusable walk machinery: decision stack, prefix replay, bound
     accounting and backtracking for one (bounded) level of the schedule
     tree. {!Bounded} drives one walk per bound level through its own

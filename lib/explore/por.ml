@@ -67,13 +67,15 @@ module Walk = struct
             sibling to [wake]; later cut adds at this frame are no-ops *)
     f_enabled : (Tid.t * Op.t) list;  (** enabled threads at the node *)
     f_in_bound : Tid.t list;
-        (** the enabled threads whose bound delta at this node fits the
-            level bound — fixed at node creation, memoized because the
-            race-driven backtrack adds query it hot (delay deltas are
-            O(n·distance) to recompute) *)
+        (** the enabled threads whose bound cost at this node fits the
+            level bound: a prefix of the round-robin order, fixed at node
+            creation *)
+    f_reach : int;
+        (** round-robin distance from [f_last] to the last of
+            [f_in_bound], [max_int] when no child is over the bound: the
+            race-driven backtrack adds test membership with it in O(1) *)
     f_fp : int;  (** [Runtime.fingerprint] of the enabled tids *)
     f_sleep : (Tid.t * Op.t) list;  (** sleep set on entry to the node *)
-    f_count : int;  (** bound count (preemptions / delays) on entry *)
     f_last : Tid.t option;  (** the thread that executed the previous step *)
     f_n : int;  (** thread count at the node *)
   }
@@ -88,9 +90,9 @@ module Walk = struct
       woke_all = false;
       f_enabled = [];
       f_in_bound = [];
+      f_reach = max_int;
       f_fp = 0;
       f_sleep = [];
-      f_count = 0;
       f_last = None;
       f_n = 0;
     }
@@ -116,7 +118,6 @@ module Walk = struct
     st : stack;
     mutable replay_len : int;
     mutable depth : int;
-    mutable cur_count : int;
     mutable cur_sleep : (Tid.t * Op.t) list;
     mutable run_pruned : bool;
         (** the current run crossed a node where every in-bound enabled
@@ -161,7 +162,6 @@ module Walk = struct
       st = { frames = Array.make 1024 dummy_frame; len = 0 };
       replay_len = 0;
       depth = 0;
-      cur_count = 0;
       cur_sleep = [];
       run_pruned = false;
       pruned = false;
@@ -171,12 +171,11 @@ module Walk = struct
       accesses = Hashtbl.create 64;
     }
 
-  let delta w ~last ~enabled ~n t =
-    match w.w_bound with
-    | Dfs.Unbounded -> 0
-    | Dfs.Preemption _ -> Preemption.delta ~last ~enabled t
-    | Dfs.Delay _ -> Delay.delays ~n ~last ~enabled t
-    | Dfs.Variable _ | Dfs.Threads _ -> assert false (* rejected by [make] *)
+  let in_bound fr t =
+    match fr.f_last with
+    | Some l when fr.f_reach < max_int ->
+        Tid.distance ~n:fr.f_n l t <= fr.f_reach
+    | _ -> true
 
   let clock_of w t =
     match Hashtbl.find_opt w.clocks t with
@@ -198,7 +197,6 @@ module Walk = struct
      possibly cheaper, position. *)
   let add_point w ~conservative j p =
     let fr = w.st.frames.(j) in
-    let in_bound t = List.exists (Tid.equal t) fr.f_in_bound in
     let explored t =
       Tid.equal t fr.chosen
       || List.mem_assoc t fr.done_
@@ -210,7 +208,7 @@ module Walk = struct
         (not conservative) && w.with_sleep && List.mem_assoc t fr.f_sleep
       in
       if (not (explored t)) && not asleep then begin
-        if in_bound t then
+        if in_bound fr t then
           if conservative then fr.wake <- t :: fr.wake
           else fr.todo <- t :: fr.todo
         else begin
@@ -317,19 +315,19 @@ module Walk = struct
 
   let begin_run w =
     w.depth <- 0;
-    w.cur_count <- 0;
     w.cur_sleep <- [];
     w.run_pruned <- false;
     Hashtbl.reset w.clocks;
     Hashtbl.reset w.accesses
 
   (* Per-decision bookkeeping shared by the replay and expansion paths:
-     dependence tracking, sleep propagation, bound accounting. A chosen
-     thread originating from a conservative wake-up may itself be in the
-     frame's sleep set; its whole subtree is explored with an empty sleep
-     set (BPOR: a sleeping thread's justification — "an equivalent
-     interleaving is covered elsewhere" — may point at executions the
-     bound cut off, so conservative re-exploration must forget it). *)
+     dependence tracking and sleep propagation (the runtime counts the
+     bound cost). A chosen thread originating from a conservative wake-up
+     may itself be in the frame's sleep set; its whole subtree is explored
+     with an empty sleep set (BPOR: a sleeping thread's justification —
+     "an equivalent interleaving is covered elsewhere" — may point at
+     executions the bound cut off, so conservative re-exploration must
+     forget it). *)
   let account w i fr (ctx : Runtime.ctx) =
     let op = op_of fr.f_enabled fr.chosen in
     if w.with_dpor then begin
@@ -340,36 +338,22 @@ module Walk = struct
       w.cur_sleep <-
         (if fr.via_wake then []
          else advance_sleep (List.remove_assoc fr.chosen fr.f_sleep) fr.done_ op);
-    w.cur_count <-
-      w.cur_count
-      + delta w ~last:ctx.c_last ~enabled:ctx.c_enabled ~n:ctx.c_n_threads
-          fr.chosen;
     fr.chosen
 
   let choose w (ctx : Runtime.ctx) =
     let i = w.depth in
     w.depth <- i + 1;
-    let in_bound t =
-      w.cur_count
-      + delta w ~last:ctx.c_last ~enabled:ctx.c_enabled ~n:ctx.c_n_threads t
-      <= w.w_bound_c
-    in
     if w.run_pruned then begin
-      (* past a sleep-pruned node: follow the cheapest in-bound child to
-         the end of the run without recording anything — the whole branch
-         is discarded by [on_terminal] *)
-      let order =
-        Delay.rr_order ~n:ctx.c_n_threads ~last:ctx.c_last
+      (* past a sleep-pruned node: follow the first child of the
+         round-robin order, which costs nothing, to the end of the run
+         without recording anything — the whole branch is discarded by
+         [on_terminal] *)
+      match
+        Delay.deterministic_choice ~n:ctx.c_n_threads ~last:ctx.c_last
           ~enabled:ctx.c_enabled
-      in
-      match List.filter in_bound order with
-      | t :: _ ->
-          w.cur_count <-
-            w.cur_count
-            + delta w ~last:ctx.c_last ~enabled:ctx.c_enabled
-                ~n:ctx.c_n_threads t;
-          t
-      | [] -> assert false (* a zero-cost child always exists (see DESIGN) *)
+      with
+      | Some t -> t
+      | None -> assert false
     end
     else if i < w.replay_len then begin
       let fr = w.st.frames.(i) in
@@ -386,12 +370,11 @@ module Walk = struct
         | None -> invalid_arg "Sct_explore.Por: enabled thread without an op"
       in
       let enabled = List.map (fun t -> (t, pending t)) ctx.c_enabled in
-      let order =
-        Delay.rr_order ~n:ctx.c_n_threads ~last:ctx.c_last
-          ~enabled:ctx.c_enabled
+      let candidates, over =
+        Dfs.in_bound_children w.w_bound ctx ~footprint:0
+          ~step:(Dfs.preemption_step ctx)
       in
-      let candidates = List.filter in_bound order in
-      if List.compare_lengths candidates order < 0 then w.pruned <- true;
+      if over then w.pruned <- true;
       let allowed =
         if w.with_sleep then
           List.filter (fun t -> not (List.mem_assoc t w.cur_sleep)) candidates
@@ -403,12 +386,7 @@ module Walk = struct
              contains interleavings equivalent to already-explored ones *)
           w.run_pruned <- true;
           match candidates with
-          | t :: _ ->
-              w.cur_count <-
-                w.cur_count
-                + delta w ~last:ctx.c_last ~enabled:ctx.c_enabled
-                    ~n:ctx.c_n_threads t;
-              t
+          | t :: _ -> t (* the first child costs nothing *)
           | [] -> assert false)
       | c :: rest ->
           let todo = if w.with_dpor then [] else rest in
@@ -422,9 +400,14 @@ module Walk = struct
               woke_all = false;
               f_enabled = enabled;
               f_in_bound = candidates;
+              f_reach =
+                (match ctx.c_last with
+                | Some l when over ->
+                    let farthest = List.fold_left (fun _ t -> t) c candidates in
+                    Tid.distance ~n:ctx.c_n_threads l farthest
+                | _ -> max_int);
               f_fp = ctx.c_enabled_fp;
               f_sleep = w.cur_sleep;
-              f_count = w.cur_count;
               f_last = ctx.c_last;
               f_n = ctx.c_n_threads;
             }

@@ -186,6 +186,58 @@ let test_self_join_deadlocks () =
   | Outcome.Bug { bug = Outcome.Deadlock _; _ } -> ()
   | o -> Alcotest.failf "expected deadlock, got %a" Outcome.pp o
 
+(* A scheduler answering a tid that is not enabled — negative, never
+   created, far out of range, or blocked — gets the runtime's diagnostic,
+   never an array-index exception from the O(1) enabled-bit check, both
+   when one thread is enabled and when several are. *)
+let test_bogus_choice () =
+  let program () =
+    let m = Sct.Mutex.create () in
+    let t1 = Sct.spawn (fun () -> Sct.yield ()) in
+    Sct.Mutex.lock m;
+    let t2 =
+      Sct.spawn (fun () ->
+          Sct.Mutex.lock m;
+          Sct.Mutex.unlock m)
+    in
+    Sct.yield ();
+    Sct.Mutex.unlock m;
+    Sct.join t1;
+    Sct.join t2
+  in
+  (* answer [bogus] at the first decision satisfying [at], the lowest
+     enabled tid elsewhere; [check_raises] fails if [at] never holds *)
+  let check name ~at bogus =
+    let armed = ref true in
+    let scheduler (ctx : Runtime.ctx) =
+      if !armed && at ctx then begin
+        armed := false;
+        bogus ctx
+      end
+      else List.hd ctx.c_enabled
+    in
+    Alcotest.check_raises name
+      (Invalid_argument "Sct_core.Runtime: scheduler chose a disabled thread")
+      (fun () -> ignore (Runtime.exec ~promote:promote_all ~scheduler program))
+  in
+  let single (ctx : Runtime.ctx) = List.length ctx.c_enabled = 1 in
+  let several (ctx : Runtime.ctx) = List.length ctx.c_enabled > 1 in
+  List.iter
+    (fun (what, bogus) ->
+      check (what ^ ", one enabled") ~at:single bogus;
+      check (what ^ ", several enabled") ~at:several bogus)
+    [
+      ("negative", fun _ -> -1);
+      ("min_int", fun _ -> min_int);
+      ("not yet created", fun (ctx : Runtime.ctx) -> ctx.c_n_threads);
+      ("beyond the thread array", fun _ -> 1_000_000);
+      ("max_int", fun _ -> max_int);
+    ];
+  (* t2 (tid 2) blocks on the mutex main holds across its yield *)
+  check "blocked thread"
+    ~at:(fun ctx -> ctx.c_n_threads = 3 && not (List.mem 2 ctx.c_enabled))
+    (fun _ -> 2)
+
 let suites =
   [
     ( "runtime-edge",
@@ -210,5 +262,7 @@ let suites =
         Alcotest.test_case "join many" `Quick test_join_many;
         Alcotest.test_case "self-join deadlocks" `Quick
           test_self_join_deadlocks;
+        Alcotest.test_case "bogus scheduler choices are diagnosed" `Quick
+          test_bogus_choice;
       ] );
   ]

@@ -51,7 +51,9 @@ let test_rr_order () =
   Alcotest.(check (list int)) "rr from 3 of {0,2,3,4} n=5" [ 3; 4; 0; 2 ]
     (Delay.rr_order ~n:5 ~last:(Some 3) ~enabled:[ 0; 2; 3; 4 ]);
   Alcotest.(check (list int)) "rr from None" [ 0; 1; 2 ]
-    (Delay.rr_order ~n:3 ~last:None ~enabled:[ 2; 0; 1 ])
+    (Delay.rr_order ~n:3 ~last:None ~enabled:[ 0; 1; 2 ]);
+  Alcotest.(check (list int)) "rr from disabled 1 of {0,2,3} n=4" [ 2; 3; 0 ]
+    (Delay.rr_order ~n:4 ~last:(Some 1) ~enabled:[ 0; 2; 3 ])
 
 let test_deterministic_choice () =
   Alcotest.(check (option int)) "continue last" (Some 1)
@@ -122,6 +124,178 @@ let prop_rr_order_costs =
           in
           costs = List.init (List.length order) (fun i -> i))
         steps)
+
+(* --- the one-pass accounting against the definitions it replaced --- *)
+
+(* Reference [delays]: the paper's gap walk, one membership test per
+   round-robin slot from [last] to [t]. *)
+let oracle_delays ~n ~last ~enabled t =
+  match last with
+  | None -> 0
+  | Some l ->
+      let count = ref 0 in
+      for x = 0 to Tid.distance ~n l t - 1 do
+        if List.mem ((l + x) mod n) enabled then incr count
+      done;
+      !count
+
+(* Reference [rr_order]: the enabled set sorted by round-robin distance. *)
+let oracle_rr_order ~n ~last ~enabled =
+  let start = match last with None -> 0 | Some l -> l in
+  List.sort
+    (fun a b ->
+      Int.compare (Tid.distance ~n start a) (Tid.distance ~n start b))
+    enabled
+
+(* A decision point: [n] ≤ 200 threads, a random non-empty ascending
+   enabled subset of varying density, and a last thread that is absent,
+   disabled or enabled. *)
+let gen_decision =
+  QCheck2.Gen.(
+    let* n = int_range 1 200 in
+    let* density = float_range 0.02 1.0 in
+    let* bits =
+      list_repeat n (map (fun f -> f < density) (float_bound_inclusive 1.0))
+    in
+    let* fallback = int_range 0 (n - 1) in
+    let enabled =
+      List.concat (List.mapi (fun i b -> if b then [ i ] else []) bits)
+    in
+    let enabled = if enabled = [] then [ fallback ] else enabled in
+    let disabled =
+      List.filter (fun t -> not (List.mem t enabled)) (List.init n Fun.id)
+    in
+    let* which = int_range 0 2 in
+    let* pick = int_range 0 (n - 1) in
+    let last =
+      match which with
+      | 0 -> None
+      | 1 when disabled <> [] ->
+          Some (List.nth disabled (pick mod List.length disabled))
+      | _ -> Some (List.nth enabled (pick mod List.length enabled))
+    in
+    return (n, last, enabled))
+
+let print_decision (n, last, enabled) =
+  Printf.sprintf "n=%d last=%s enabled=[%s]" n
+    (match last with None -> "None" | Some l -> string_of_int l)
+    (String.concat ";" (List.map string_of_int enabled))
+
+let prop_delays_oracle =
+  QCheck2.Test.make ~name:"one-pass delays = gap walk" ~count:200
+    ~print:print_decision gen_decision (fun (n, last, enabled) ->
+      List.for_all
+        (fun t ->
+          Delay.delays ~n ~last ~enabled t = oracle_delays ~n ~last ~enabled t)
+        (List.init n Fun.id))
+
+let prop_rr_order_oracle =
+  QCheck2.Test.make ~name:"rotation rr_order = sort by distance" ~count:300
+    ~print:print_decision gen_decision (fun (n, last, enabled) ->
+      Delay.rr_order ~n ~last ~enabled = oracle_rr_order ~n ~last ~enabled
+      && Delay.deterministic_choice ~n ~last ~enabled
+         = Some (List.hd (oracle_rr_order ~n ~last ~enabled)))
+
+(* Position is cost: the k-th thread of the round-robin order costs k
+   delays once [last] is set (enabled or not), and any but the first costs
+   a preemption exactly when [last] is enabled. *)
+let prop_position_is_cost =
+  QCheck2.Test.make ~name:"cost of rr_order[k] = k" ~count:300
+    ~print:print_decision gen_decision (fun (n, last, enabled) ->
+      let last_enabled =
+        match last with Some l -> List.mem l enabled | None -> false
+      in
+      List.for_all Fun.id
+        (List.mapi
+           (fun k t ->
+             Delay.delays ~n ~last ~enabled t = (if last = None then 0 else k)
+             && Preemption.delta ~last ~enabled t
+                = Bool.to_int (k > 0 && last_enabled))
+           (Delay.rr_order ~n ~last ~enabled)))
+
+(* The in-bound prefix is exactly what the old per-child filter kept, for
+   every bound, budget and (footprint bounds) footprint state. *)
+let prop_in_bound_prefix =
+  let gen =
+    QCheck2.Gen.(
+      let* d = gen_decision in
+      let* kind = int_range 0 4 in
+      let* c = int_range 0 4 in
+      let* cur = int_range 0 (c + 1) (* c + 1: already over the bound *) in
+      let* fresh = bool in
+      return (d, kind, c, cur, fresh))
+  in
+  QCheck2.Test.make ~name:"in-bound prefix = per-child filter" ~count:500
+    ~print:(fun (d, kind, c, cur, fresh) ->
+      Printf.sprintf "%s kind=%d c=%d cur=%d fresh=%b" (print_decision d) kind
+        c cur fresh)
+    gen
+    (fun ((n, last, enabled), kind, c, cur, fresh) ->
+      let open Sct_explore.Dfs in
+      let bound =
+        match kind with
+        | 0 -> Unbounded
+        | 1 -> Preemption c
+        | 2 -> Delay c
+        | 3 -> Variable c
+        | _ -> Threads c
+      in
+      let bound_c = match bound with Unbounded -> max_int | _ -> c in
+      let preempts t = Preemption.delta ~last ~enabled t in
+      let old_cost t =
+        match bound with
+        | Unbounded -> 0
+        | Preemption _ -> preempts t
+        | Delay _ -> oracle_delays ~n ~last ~enabled t
+        | Variable _ | Threads _ -> if preempts t = 1 && fresh then 1 else 0
+      in
+      let order = oracle_rr_order ~n ~last ~enabled in
+      let fits t = cur + old_cost t <= bound_c in
+      let last_enabled =
+        match last with Some l -> List.mem l enabled | None -> false
+      in
+      let step =
+        match bound with
+        | Preemption _ -> Bool.to_int last_enabled
+        | Variable _ | Threads _ -> Bool.to_int (last_enabled && fresh)
+        | Unbounded | Delay _ -> 0
+      in
+      in_bound_prefix bound ~budget:(bound_c - cur) ~last ~step
+        (Delay.rr_order ~n ~last ~enabled)
+      = (List.filter fits order, not (List.for_all fits order)))
+
+(* The runtime's incremental PC/DC (cached enabled bits, gap count) agree
+   with the definitions folded over the recorded decisions, on a program
+   wide enough for long round-robin gaps. *)
+let prop_runtime_counts_wide =
+  QCheck2.Test.make ~name:"runtime pc/dc = counts of decisions (50 threads)"
+    ~count:20 QCheck2.Gen.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let scheduler (ctx : Runtime.ctx) =
+        match ctx.c_last with
+        | Some l when Random.State.int rng 4 > 0 && List.mem l ctx.c_enabled
+          ->
+            l
+        | _ ->
+            List.nth ctx.c_enabled
+              (Random.State.int rng (List.length ctx.c_enabled))
+      in
+      let r =
+        Runtime.exec ~promote:(fun _ -> true) ~scheduler
+          (Sctbench.Cs.twostage_n_bad 47)
+      in
+      let steps =
+        List.map
+          (fun d -> (d.Runtime.d_enabled, d.Runtime.d_chosen))
+          r.Runtime.r_decisions
+      in
+      let ns =
+        Array.of_list
+          (List.map (fun d -> d.Runtime.d_n_threads) r.Runtime.r_decisions)
+      in
+      r.Runtime.r_n_threads = 50
+      && r.Runtime.r_pc = Preemption.count ~steps
+      && r.Runtime.r_dc = Delay.count ~n_at:(Array.get ns) ~steps)
 
 (* --- edge cases: the empty schedule and the schedule container laws --- *)
 
@@ -221,5 +395,10 @@ let suites =
         QCheck_alcotest.to_alcotest prop_det_choice_zero_delay;
         QCheck_alcotest.to_alcotest prop_rr_order_costs;
         QCheck_alcotest.to_alcotest prop_distance_roundtrip;
+        QCheck_alcotest.to_alcotest prop_delays_oracle;
+        QCheck_alcotest.to_alcotest prop_rr_order_oracle;
+        QCheck_alcotest.to_alcotest prop_position_is_cost;
+        QCheck_alcotest.to_alcotest prop_in_bound_prefix;
+        QCheck_alcotest.to_alcotest prop_runtime_counts_wide;
       ] );
   ]
