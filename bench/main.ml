@@ -13,9 +13,9 @@
        --baseline bench/BASELINE_engine.json [--baseline-factor 2.0]
                              (also fail on a regression beyond the factor)
 
-   Sections: table1 table2 table3 fig2 fig3 fig4 por pct steps jobs perf
-   (default: all). [--out]/[--baseline] imply the steps, jobs and perf
-   sections; see BENCHMARKS.md for the JSON schema. *)
+   Sections: table1 table2 table3 fig2 fig3 fig4 por pct jobs perf
+   (default: all). [--out]/[--baseline] imply the jobs and perf sections;
+   see BENCHMARKS.md for the JSON schema. *)
 
 open Bechamel
 open Toolkit
@@ -56,20 +56,18 @@ let sections, limit, seed, jobs, out_file, baseline_file, baseline_factor =
   let all =
     [
       "table1"; "table2"; "table3"; "fig2"; "fig3"; "fig4"; "por"; "pct";
-      "steps"; "jobs"; "perf";
+      "jobs"; "perf";
     ]
   in
   let sections = if !sections = [] then all else List.rev !sections in
   let sections =
-    (* the JSON artifact and the regression check are built from the perf,
-       steps and jobs-sweep measurements, so those flags imply all three
-       sections (steps before jobs: the sweep spawns worker domains, which
-       permanently switches the batched executor to its fallback) *)
+    (* the JSON artifact and the regression check are built from the perf
+       and jobs-sweep measurements, so those flags imply both sections *)
     if !out_file <> None || !baseline_file <> None then
       sections
       @ List.filter
           (fun s -> not (List.mem s sections))
-          [ "steps"; "jobs"; "perf" ]
+          [ "jobs"; "perf" ]
     else sections
   in
   let jobs = if !jobs <= 0 then Sct_parallel.Pool.default_jobs () else !jobs in
@@ -423,50 +421,6 @@ let run_pct () =
       "misc.safestack";
     ]
 
-(* Prefix-batched executor: scheduling steps actually executed vs. the
-   classic one-execution-per-schedule driver. The counters are analytic
-   (executed + saved = the unbatched driver's steps), so the recorded
-   factors are identical for the fork-server and fallback back-ends — the
-   section prints which one it measured. CS.reorder_10_bad exhausts the
-   schedule limit for all three tree techniques, which is exactly where
-   shared prefixes dominate; campaigns that stop at an early bug have no
-   prefix to share and would only dilute the gate. *)
-let steps_benches = [ "CS.reorder_10_bad" ]
-
-let run_steps () =
-  hr "Prefix-batched executor: steps executed vs. per-schedule re-execution";
-  let o = { options with Sct_explore.Techniques.prefix_batch = true } in
-  Printf.printf "limit %d, backend: %s\n" limit
-    (if Sct_explore.Prefix_exec.fork_available () then "fork server"
-     else "portable fallback");
-  Printf.printf "%-6s %12s %12s %12s %8s\n" "tech" "executed" "saved"
-    "unbatched" "factor";
-  List.map
-    (fun t ->
-      let executed, saved =
-        List.fold_left
-          (fun (e, s) bname ->
-            let program = bench_program bname in
-            let promote =
-              Sct_race.Promotion.promote
-                (Sct_explore.Techniques.detect_races o program)
-            in
-            let st = Sct_explore.Techniques.run ~promote o t program in
-            ( e + st.Sct_explore.Stats.steps_executed,
-              s + st.Sct_explore.Stats.steps_saved ))
-          (0, 0) steps_benches
-      in
-      let key = String.lowercase_ascii (Sct_explore.Techniques.name t) in
-      Printf.printf "%-6s %12d %12d %12d %7.2fx\n%!" key executed saved
-        (executed + saved)
-        (float_of_int (executed + saved) /. float_of_int (max 1 executed));
-      (key, executed, saved))
-    [
-      Sct_explore.Techniques.DFS;
-      Sct_explore.Techniques.IPB;
-      Sct_explore.Techniques.IDB;
-    ]
-
 (* Wall-clock scaling of the parallel engine: the same suite slice at
    jobs in {1, 2, 4, 8}, checking along the way that every row is identical
    to the sequential run (the engine's determinism guarantee). *)
@@ -598,7 +552,7 @@ let print_scaling rows =
     (fun (n, rr, idb) -> Printf.printf "%8d %14.1f %14.1f\n" n rr idb)
     rows
 
-let bench_json ~perf_rows ~jobs_sweep ~steps_rows ~scaling =
+let bench_json ~perf_rows ~jobs_sweep ~scaling =
   let open Sct_store.Json in
   let ns_int f = max 1 (int_of_float (Float.round f)) in
   let engine =
@@ -640,22 +594,9 @@ let bench_json ~perf_rows ~jobs_sweep ~steps_rows ~scaling =
           ])
       jobs_sweep
   in
-  let steps =
-    List.map
-      (fun (key, executed, saved) ->
-        ( key,
-          Obj
-            [
-              ("steps_executed", Int executed);
-              ("steps_saved", Int saved);
-              ("steps_unbatched", Int (executed + saved));
-              ("factor_x100", Int ((executed + saved) * 100 / max 1 executed));
-            ] ))
-      steps_rows
-  in
   Obj
     [
-      ("schema", Str "sctbench-bench-engine/v2");
+      ("schema", Str "sctbench-bench-engine/v3");
       ("limit", Int limit);
       ("seed", Int seed);
       ("jobs", Int jobs);
@@ -663,8 +604,6 @@ let bench_json ~perf_rows ~jobs_sweep ~steps_rows ~scaling =
       ("perf_ns", Obj perf);
       ("sections_ms", Obj sections);
       ("jobs_sweep", Arr sweep);
-      ("steps_benches", Arr (List.map (fun n -> Str n) steps_benches));
-      ("steps", Obj steps);
       ( "thread_scaling",
         Obj
           (List.map
@@ -688,11 +627,10 @@ let write_out path json =
 
 (* Fail (exit 1) if any engine benchmark regressed more than
    [--baseline-factor] (default 2x) against the committed baseline's
-   ns_per_run, if the prefix-batched executor's steps cut dropped below
-   the baseline's per-technique [min_factor_x100] floor, or if per-step
-   cost at the widest thread-scaling point exceeds the narrowest's by more
-   than the baseline's [thread_scaling.max_factor_x100]. *)
-let check_baseline ~perf_rows ~steps_rows ~scaling path =
+   ns_per_run, or if per-step cost at the widest thread-scaling point
+   exceeds the narrowest's by more than the baseline's
+   [thread_scaling.max_factor_x100]. *)
+let check_baseline ~perf_rows ~scaling path =
   let doc =
     In_channel.with_open_bin path In_channel.input_all
     |> Sct_store.Json.of_string
@@ -723,35 +661,6 @@ let check_baseline ~perf_rows ~steps_rows ~scaling path =
               end)
       | _ -> ())
     entries;
-  (match Sct_store.Json.member "steps" doc with
-  | Some (Sct_store.Json.Obj floors) ->
-      List.iter
-        (fun (key, entry) ->
-          match Sct_store.Json.member "min_factor_x100" entry with
-          | Some (Sct_store.Json.Int floor) -> (
-              match
-                List.find_opt (fun (k, _, _) -> k = key) steps_rows
-              with
-              | None ->
-                  Printf.printf "baseline check: steps/%s not measured\n" key;
-                  failed := true
-              | Some (_, executed, saved) ->
-                  let factor_x100 =
-                    (executed + saved) * 100 / max 1 executed
-                  in
-                  Printf.printf
-                    "baseline check: steps/%-24s %d.%02dx cut (floor %d.%02dx)\n"
-                    key (factor_x100 / 100) (factor_x100 mod 100) (floor / 100)
-                    (floor mod 100);
-                  if factor_x100 < floor then begin
-                    Printf.printf
-                      "  REGRESSION: the prefix-batched steps cut fell below \
-                       the floor\n";
-                    failed := true
-                  end)
-          | _ -> ())
-        floors
-  | _ -> ());
   (match Sct_store.Json.member "thread_scaling" doc with
   | Some entry -> (
       match
@@ -825,10 +734,6 @@ let () =
   end;
   if wants "por" then timed "por" run_por;
   if wants "pct" then timed "pct" run_pct;
-  (* steps before jobs: the sweep spawns worker domains, after which the
-     runtime refuses [Unix.fork] and the batched executor measures its
-     fallback (same counters, but the fork server is the shipped path) *)
-  let steps_rows = if wants "steps" then timed "steps" run_steps else [] in
   let jobs_sweep =
     if wants "jobs" then timed "jobs" run_jobs else []
   in
@@ -838,7 +743,7 @@ let () =
   (match out_file with
   | None -> ()
   | Some path ->
-      write_out path (bench_json ~perf_rows ~jobs_sweep ~steps_rows ~scaling));
+      write_out path (bench_json ~perf_rows ~jobs_sweep ~scaling));
   match baseline_file with
   | None -> ()
-  | Some path -> check_baseline ~perf_rows ~steps_rows ~scaling path
+  | Some path -> check_baseline ~perf_rows ~scaling path

@@ -53,22 +53,13 @@ let split_depth_t =
   in
   Arg.(value & opt int 3 & info [ "split-depth" ] ~docv:"D" ~doc)
 
-let prefix_batch_t =
-  let doc =
-    "Run DFS/IPB/IDB on the prefix-memoizing batched executor: shared \
-     schedule prefixes are executed once per batch instead of once per \
-     schedule. Every table and every stored journal stays byte-identical \
-     apart from the steps-executed/steps-saved counters."
-  in
-  Arg.(value & flag & info [ "prefix-batch" ] ~doc)
-
 let por_t =
   let doc =
     "Compose DFS/IPB/IDB with bounded partial-order reduction: $(docv) is \
      $(b,sleep), $(b,dpor) or $(b,dpor+sleep). Reduced cells explore fewer \
      schedules to the same bugs (sleep-pruned runs are reported as \
-     por_pruned); POR cells always run unbatched and sequential. Other \
-     techniques are unaffected."
+     por_pruned); POR cells always run sequentially. Other techniques \
+     are unaffected."
   in
   Arg.(value & opt (some string) None & info [ "por" ] ~docv:"MODE" ~doc)
 
@@ -101,9 +92,6 @@ let length_bound_t =
     value
     & opt int Sct_explore.Axes.default_length_bound
     & info [ "length-bound" ] ~docv:"N" ~doc)
-
-(* The two Axes bounds travel together through [options_of]. *)
-let bounds_t = Term.(const (fun f l -> (f, l)) $ fair_bound_t $ length_bound_t)
 
 let store_t =
   let doc =
@@ -145,24 +133,30 @@ let close_store = Option.iter Sct_store.Db.close
 let resolve_jobs jobs =
   if jobs <= 0 then Sct_parallel.Pool.default_jobs () else jobs
 
-let options_of ?(jobs = 1) ?(split_depth = 3) ?(prefix_batch = false) ?por
-    ?time_limit
-    ?(bounds =
-      ( Sct_explore.Axes.default_fair_bound,
-        Sct_explore.Axes.default_length_bound )) limit seed =
-  let fair_bound, length_bound = bounds in
-  {
-    Sct_explore.Techniques.default_options with
-    Sct_explore.Techniques.limit;
-    seed;
-    jobs = resolve_jobs jobs;
-    split_depth;
-    time_limit;
-    prefix_batch;
-    por;
-    fair_bound;
-    length_bound;
-  }
+(* The exploration options of every command that runs techniques over
+   benchmarks: one term, so each flag has one name, default and doc. *)
+let options_t =
+  let make limit seed jobs split_depth por time_limit fair_bound length_bound
+      =
+    {
+      Sct_explore.Techniques.default_options with
+      Sct_explore.Techniques.limit;
+      seed;
+      jobs = resolve_jobs jobs;
+      split_depth;
+      por = parse_por por;
+      time_limit;
+      fair_bound;
+      length_bound;
+    }
+  in
+  Term.(
+    const make $ limit_t $ seed_t $ jobs_t $ split_depth_t $ por_t
+    $ time_limit_t $ fair_bound_t $ length_bound_t)
+
+(* Race detection reads only the seed (and the default run counts). *)
+let detect_options seed =
+  { Sct_explore.Techniques.default_options with Sct_explore.Techniques.seed }
 
 let parse_techniques names =
   match Sct_explore.Techniques.parse_list names with
@@ -230,7 +224,7 @@ let detect_cmd =
     match Sctbench.Registry.by_name name with
     | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
     | Some b ->
-        let o = options_of 0 seed in
+        let o = detect_options seed in
         let d = Sct_explore.Techniques.detect_races o b.Sctbench.Bench.program in
         Printf.printf "racy locations (%d):\n" (List.length d.Sct_race.Promotion.racy);
         List.iter (fun l -> Printf.printf "  %s\n" l) d.Sct_race.Promotion.racy
@@ -242,15 +236,10 @@ let detect_cmd =
 
 (* run one benchmark *)
 let run_cmd =
-  let run limit seed jobs split_depth prefix_batch por time_limit bounds techs
-      store resume name =
+  let run o techs store resume name =
     match Sctbench.Registry.by_name name with
     | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
     | Some b ->
-        let o =
-          options_of ~jobs ~split_depth ~prefix_batch ?por:(parse_por por)
-            ?time_limit ~bounds limit seed
-        in
         let techniques = parse_techniques techs in
         let store = open_store ~resume store in
         let row =
@@ -288,10 +277,7 @@ let run_cmd =
   let name_t = Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME") in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one benchmark under the selected techniques.")
-    Term.(
-      const run $ limit_t $ seed_t $ jobs_t $ split_depth_t $ prefix_batch_t
-      $ por_t $ time_limit_t $ bounds_t $ techniques_t $ store_t $ resume_t
-      $ name_t)
+    Term.(const run $ options_t $ techniques_t $ store_t $ resume_t $ name_t)
 
 let with_bench name f =
   match Sctbench.Registry.by_name name with
@@ -301,7 +287,7 @@ let with_bench name f =
   | Some b -> f b
 
 let detection_promote seed (b : Sctbench.Bench.t) =
-  let o = options_of 0 seed in
+  let o = detect_options seed in
   Sct_race.Promotion.promote
     (Sct_explore.Techniques.detect_races o b.Sctbench.Bench.program)
 
@@ -472,14 +458,10 @@ let por_cmd =
     Term.(const run $ limit_t $ name_t $ mode_t)
 
 (* the full study: tables and figures *)
-let study what limit seed jobs split_depth prefix_batch por time_limit bounds
-    suite ids techs store resume corpus =
+let study what o suite ids techs store resume corpus =
   load_corpus corpus;
   let benches = select suite ids in
-  let o =
-    options_of ~jobs ~split_depth ~prefix_batch ?por:(parse_por por)
-      ?time_limit ~bounds limit seed
-  in
+  let limit = o.Sct_explore.Techniques.limit in
   match what with
   | `Table1 -> Sct_report.Table1.print benches
   | (`Table2 | `Table3 | `Fig2 | `Fig3 | `Fig4 | `Agreement | `Csv) as what ->
@@ -506,9 +488,8 @@ let study what limit seed jobs split_depth prefix_batch por time_limit bounds
 let study_cmd name what doc =
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (study what) $ limit_t $ seed_t $ jobs_t $ split_depth_t
-      $ prefix_batch_t $ por_t $ time_limit_t $ bounds_t $ suite_t $ ids_t
-      $ techniques_t $ store_t $ resume_t $ corpus_t)
+      const (study what) $ options_t $ suite_t $ ids_t $ techniques_t
+      $ store_t $ resume_t $ corpus_t)
 
 (* self-testing fuzz: generated programs under the differential oracle *)
 let fuzz_cmd =
@@ -539,7 +520,7 @@ let fuzz_cmd =
     in
     Arg.(value & opt string "classic" & info [ "vocab" ] ~docv:"VOCAB" ~doc)
   in
-  let run seed count limit max_steps jobs prefix_batch por store techs vocab =
+  let run seed count limit max_steps jobs por store techs vocab =
     let techniques =
       match
         Sct_explore.Techniques.parse_list ~default:Sct_explore.Techniques.all
@@ -559,8 +540,8 @@ let fuzz_cmd =
           exit 1
     in
     let cfg =
-      { Sct_fuzz.Oracle.limit; max_steps; race_runs = 5; prefix_batch;
-        por = parse_por por; techniques }
+      { Sct_fuzz.Oracle.limit; max_steps; race_runs = 5; por = parse_por por;
+        techniques }
     in
     (* program i is a pure function of (seed, i): shard across the pool,
        reassemble in index order — output is identical for every --jobs *)
@@ -600,7 +581,7 @@ let fuzz_cmd =
           minimal counterexamples.")
     Term.(
       const run $ seed_t $ count_t $ fuzz_limit_t $ max_steps_t $ jobs_t
-      $ prefix_batch_t $ por_t $ fuzz_store_t $ techniques_t $ vocab_t)
+      $ por_t $ fuzz_store_t $ techniques_t $ vocab_t)
 
 (* the corpus factory: mine, promote, stats, run *)
 let corpus_cmd =
@@ -844,18 +825,14 @@ let corpus_cmd =
       Term.(const run $ dir_t)
   in
   let run_cmd =
-    let run dir limit seed jobs split_depth prefix_batch por time_limit bounds
-        techs store resume =
+    let run dir o techs store resume =
       load_corpus (Some dir);
       let benches = Sctbench.Registry.of_suite Sctbench.Bench.Corpus in
       if benches = [] then begin
         prerr_endline "corpus run: the corpus is empty";
         exit 1
       end;
-      let o =
-        options_of ~jobs ~split_depth ~prefix_batch ?por:(parse_por por)
-          ?time_limit ~bounds limit seed
-      in
+      let limit = o.Sct_explore.Techniques.limit in
       let techniques = parse_techniques techs in
       let store = open_store ~resume store in
       let rows =
@@ -879,9 +856,7 @@ let corpus_cmd =
             current behaviour against the mining-time record — the \
             corpus's standing regression study.")
       Term.(
-        const run $ dir_t $ limit_t $ seed_t $ jobs_t $ split_depth_t
-        $ prefix_batch_t $ por_t $ time_limit_t $ bounds_t $ techniques_t
-        $ store_t $ resume_t)
+        const run $ dir_t $ options_t $ techniques_t $ store_t $ resume_t)
   in
   Cmd.group
     (Cmd.info "corpus"
@@ -934,14 +909,9 @@ let parse_shard s =
       Printf.eprintf "invalid shard %s (expected K/N, e.g. 0/3)\n" s;
       exit 1
 
-let run_campaign ~shard limit seed jobs split_depth prefix_batch por
-    time_limit bounds suite ids techs policy slice store corpus =
+let run_campaign shard o suite ids techs policy slice store corpus =
   load_corpus corpus;
   let benches = select suite ids in
-  let o =
-    options_of ~jobs ~split_depth ~prefix_batch ?por:(parse_por por)
-      ?time_limit ~bounds limit seed
-  in
   let techniques = parse_techniques techs in
   let policy = parse_policy policy in
   let cells = Sct_campaign.Cell.grid ~techniques o benches in
@@ -969,10 +939,9 @@ let run_campaign ~shard limit seed jobs split_depth prefix_batch por
     outcome.Sct_campaign.Orchestrator.slices
 
 let campaign_cmd =
-  let grid_args run =
+  let grid_args shard =
     Term.(
-      const run $ limit_t $ seed_t $ jobs_t $ split_depth_t $ prefix_batch_t
-      $ por_t $ time_limit_t $ bounds_t $ suite_t $ ids_t $ techniques_t
+      const run_campaign $ shard $ options_t $ suite_t $ ids_t $ techniques_t
       $ policy_t $ slice_t $ campaign_store_t $ corpus_t)
   in
   let run_cmd =
@@ -983,7 +952,7 @@ let campaign_cmd =
             process, leasing budget slices per cell until every cell is \
             done. Safe to kill at any instant: relaunching on the same \
             store resumes exactly.")
-      (grid_args (run_campaign ~shard:None))
+      (grid_args (Term.const None))
   in
   let worker_cmd =
     let shard_t =
@@ -995,22 +964,13 @@ let campaign_cmd =
       Arg.(
         required & opt (some string) None & info [ "shard" ] ~docv:"K/N" ~doc)
     in
-    let run shard limit seed jobs split_depth prefix_batch por time_limit
-        bounds suite ids techs policy slice store corpus =
-      run_campaign ~shard:(Some (parse_shard shard)) limit seed jobs
-        split_depth prefix_batch por time_limit bounds suite ids techs policy
-        slice store corpus
-    in
     Cmd.v
       (Cmd.info "worker"
          ~doc:
            "Run one shard of a campaign into a per-worker store (multi-\
             process fleets: N workers with --shard 0/N .. (N-1)/N, then \
             $(b,store merge)).")
-      Term.(
-        const run $ shard_t $ limit_t $ seed_t $ jobs_t $ split_depth_t
-        $ prefix_batch_t $ por_t $ time_limit_t $ bounds_t $ suite_t $ ids_t
-        $ techniques_t $ policy_t $ slice_t $ campaign_store_t $ corpus_t)
+      (grid_args Term.(const (fun s -> Some (parse_shard s)) $ shard_t))
   in
   let status_cmd =
     let run store =

@@ -23,8 +23,8 @@
       footprint axes follow the local/variable/thread bounding proposals of
       arXiv:1207.2544.
 
-    All four declare [supports_prefix_batch = false] and
-    [supports_por = false] (their trees cannot be restructured), and
+    All four declare [supports_por = false] (their trees cannot be
+    restructured), and
     [Techniques.sequential_only] keeps their cells on the sequential driver
     for every [--jobs] value, so campaign statistics stay byte-identical. *)
 

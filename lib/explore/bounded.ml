@@ -20,9 +20,8 @@ let bound_of kind c =
   | Thread_bounding -> Dfs.Threads c
 
 (* The structural kinds are the paper's: their per-level trees can be
-   restructured by the prefix-batch and POR machineries. The footprint
-   kinds (IVB/ITB) have path-dependent level counting, which neither
-   machinery supports. *)
+   restructured by the POR machinery. The footprint kinds (IVB/ITB) have
+   path-dependent level counting, which it does not support. *)
 let structural = function
   | Preemption_bounding | Delay_bounding -> true
   | Variable_bounding | Thread_bounding -> false
@@ -87,10 +86,8 @@ let strategy ?(max_levels = 64) ?por ?fair ?technique
     let tracks_distinct = false
     let respects_limit = true
 
-    (* the batch/POR machineries restructure the level's tree, which is
-       only sound for the structural kinds without execution-level
-       filters *)
-    let supports_prefix_batch = structural kind && fair = None
+    (* the POR machinery restructures the level's tree, which is only
+       sound for the structural kinds without execution-level filters *)
     let supports_por = structural kind && fair = None
 
     type state = {
@@ -201,7 +198,6 @@ let level_loop ?(max_levels = 64) ~technique
           buggy = acc.Stats.buggy + r.Strategy.buggy;
           executions = acc.Stats.executions + r.Strategy.executions;
           steps_executed = acc.Stats.steps_executed + r.Strategy.steps_executed;
-          steps_saved = acc.Stats.steps_saved + r.Strategy.steps_saved;
           hit_deadline = acc.Stats.hit_deadline || r.Strategy.hit_deadline;
           n_threads = max acc.Stats.n_threads r.Strategy.n_threads;
           max_enabled = max acc.Stats.max_enabled r.Strategy.max_enabled;
@@ -251,16 +247,6 @@ let level_loop ?(max_levels = 64) ~technique
     end
   in
   level 0 (Stats.base ~technique)
-
-(* The batched campaign: the same level progression, each level's
-   count-exact walk routed through the prefix-batching executor. *)
-let explore_batched ?promote ?max_steps ?max_levels ?fork ?deadline ~kind
-    ~limit program =
-  level_loop ?max_levels ~technique:(technique_name kind)
-    ~walk:(fun ~c ~limit ->
-      Prefix_exec.explore ?promote ?max_steps ?fork ?deadline ~count_exact:c
-        ~bound:(bound_of kind c) ~limit program)
-    ~limit ()
 
 let tree_campaign ?promote ?max_steps ?max_levels ?deadline ~kind ~limit
     program run =

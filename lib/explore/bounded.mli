@@ -26,18 +26,11 @@
     the plain walk, so a level that exhausts unpruned still proves the
     whole space explored.
 
-    {b Interaction contract.} POR campaigns are exclusive with the other
-    two tree-shaped execution machineries:
-    - {!explore_batched} / {!Prefix_exec} never run reduced walks —
-      sleep-set and clock state threads through sibling continuations in
-      walk order, so continuations cannot be forked ahead of time. When a
-      cell requests both, [Techniques.run] falls back to the unbatched
-      driver (visible as [steps_saved = 0] in the cell's statistics).
-    - {!tree_campaign} / [Sct_parallel.Frontier] never partition reduced
-      walks — backtrack and sleep sets are global to the walk.
-      [Sct_parallel.Drivers.run] routes POR cells to the sequential path
-      for every [--jobs] value, as it already does for batched cells, so
-      statistics stay byte-identical across [jobs]. *)
+    {b Interaction contract.} {!tree_campaign} / [Sct_parallel.Frontier]
+    never partition reduced walks — backtrack and sleep sets are global to
+    the walk. [Sct_parallel.Drivers.run] routes POR cells to the
+    sequential path for every [--jobs] value, so statistics stay
+    byte-identical across [jobs]. *)
 
 type kind =
   | Preemption_bounding
@@ -58,9 +51,9 @@ val bound_of : kind -> int -> Dfs.bound
 (** The level-[c] walk bound of this kind. *)
 
 val structural : kind -> bool
-(** Whether the kind's per-level trees may be restructured by the
-    prefix-batch and POR machineries (IPB/IDB only: the footprint kinds
-    count levels path-dependently). *)
+(** Whether the kind's per-level trees may be restructured by the POR
+    machinery (IPB/IDB only: the footprint kinds count levels
+    path-dependently). *)
 
 val strategy :
   ?max_levels:int ->
@@ -80,7 +73,7 @@ val strategy :
     walk (the [Axes.fair] technique: iterative preemption bounding over
     fairly-bounded executions, the composition of the dejafu default
     bounds). A campaign with [fair] (or a non-structural [kind]) declares
-    [supports_prefix_batch = false] and [supports_por = false], and its
+    [supports_por = false], and its
     [Stats.complete] additionally requires that no level cut an execution
     on the fair filter. [technique] overrides the recorded technique
     name. *)
@@ -114,20 +107,6 @@ val level_loop :
     unpruned completion, else continue at [c + 1]. Produces statistics
     equal to {!explore} when [walk] behaves like the sequential
     count-exact walk. *)
-
-val explore_batched :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  ?max_levels:int ->
-  ?fork:bool ->
-  ?deadline:float ->
-  kind:kind ->
-  limit:int ->
-  (unit -> unit) ->
-  Stats.t
-(** {!explore} with every level walked by {!Prefix_exec.explore}: identical
-    statistics except that [steps_executed]/[steps_saved] carry the batched
-    step cost. [fork] overrides the executor's back-end selection. *)
 
 val tree_campaign :
   ?promote:(string -> bool) ->

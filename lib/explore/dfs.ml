@@ -18,7 +18,6 @@ type level_result = Strategy.walk_result = {
   complete : bool;
   executions : int;
   steps_executed : int;
-  steps_saved : int;
   n_threads : int;
   max_enabled : int;
   max_sched_points : int;
@@ -400,7 +399,7 @@ module Walk = struct
 
   (* Whether the walk carries an execution-level filter (fair or length
      bounding). Unrestricted walks are the only ones whose schedule trees
-     the prefix-batch and POR machineries may restructure. *)
+     the POR machinery may restructure. *)
   let restricted w = w.w_fair <> None || w.w_length <> None
 end
 
@@ -411,7 +410,6 @@ let strategy_of_walk ?(technique = "DFS") (w : Walk.t) : Strategy.t =
     let technique = technique
     let tracks_distinct = false
     let respects_limit = true
-    let supports_prefix_batch = not (Walk.restricted w)
     let supports_por = not (Walk.restricted w)
 
     type state = { w : Walk.t; mutable started : bool }
@@ -455,7 +453,6 @@ let level_result_of_stats ~pruned (s : Stats.t) =
     complete = s.Stats.complete;
     executions = s.Stats.executions;
     steps_executed = s.Stats.steps_executed;
-    steps_saved = s.Stats.steps_saved;
     n_threads = s.Stats.n_threads;
     max_enabled = s.Stats.max_enabled;
     max_sched_points = s.Stats.max_sched_points;
@@ -476,7 +473,6 @@ let stats_of ~technique (r : level_result) =
     max_sched_points = r.max_sched_points;
     executions = r.executions;
     steps_executed = r.steps_executed;
-    steps_saved = r.steps_saved;
   }
 
 let explore ?promote ?max_steps ?count_exact ?fair ?length ?on_schedule

@@ -36,8 +36,7 @@ type level_result = Strategy.walk_result = {
   hit_deadline : bool;  (** stopped because the wall-clock deadline passed *)
   complete : bool;  (** the (bounded) tree was exhausted *)
   executions : int;
-  steps_executed : int;  (** analytic step cost (see {!Stats.t}) *)
-  steps_saved : int;  (** steps avoided by prefix batching *)
+  steps_executed : int;  (** decisions of every execution (see {!Stats.t}) *)
   n_threads : int;
   max_enabled : int;
   max_sched_points : int;
@@ -143,9 +142,8 @@ module Walk : sig
 
   val restricted : t -> bool
   (** The walk carries a fair or length filter. Restricted walks declare
-      [supports_prefix_batch = false] and [supports_por = false]: both
-      machineries restructure the schedule tree, which is only sound for
-      unrestricted walks. *)
+      [supports_por = false]: the reduction restructures the schedule
+      tree, which is only sound for unrestricted walks. *)
 end
 
 val strategy_of_walk : ?technique:string -> Walk.t -> Strategy.t

@@ -220,7 +220,6 @@ let strategy ?(promote = fun _ -> false) ?(profile_runs = 10) ~seed () :
     (* the campaign length is intrinsic: [profile_runs] profiling runs plus
        one active run per candidate, regardless of the schedule limit *)
     let respects_limit = false
-    let supports_prefix_batch = false
     let supports_por = false
 
     type state = {

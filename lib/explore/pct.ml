@@ -73,7 +73,6 @@ let strategy ?(promote = fun _ -> false) ?(max_steps = 100_000)
     let technique = "PCT"
     let tracks_distinct = false
     let respects_limit = true
-    let supports_prefix_batch = false
     let supports_por = false
 
     type state = { k : int; mutable i : int; mutable run : run_state }

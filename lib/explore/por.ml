@@ -488,7 +488,6 @@ let strategy_of_walk ?(technique = "DFS") (w : Walk.t) : Strategy.t =
     let technique = technique
     let tracks_distinct = false
     let respects_limit = true
-    let supports_prefix_batch = false
     let supports_por = true
 
     type state = { w : Walk.t; mutable started : bool }

@@ -52,21 +52,12 @@
     bounded walk (counted schedules identical to {!Dfs.Walk}); bounded
     reduction requires the DPOR machinery ([Dpor] or [Dpor_sleep]).
 
-    {b Interaction contract with the other tree machineries.} A POR cell
-    always runs on the one-run-at-a-time driver:
-    - {e prefix_exec batching}: the sleep set and the DPOR clocks thread
-      through sibling continuations in walk order — sibling [k+1]'s sleep
-      set contains sibling [k] — so continuations cannot be forked ahead
-      of time as {!Prefix_exec} does. When both [--por] and
-      [--prefix-batch] are requested, the cell falls back to unbatched
-      execution (the choice is visible in the cell's statistics:
-      [steps_saved = 0]) and the store fingerprint records both options.
-    - {e frontier split-depth partitioning}: backtrack sets and sleep sets
-      are global to the walk, so depth-[split_depth] subtrees are not
-      independent; [Sct_parallel.Drivers.run] routes POR cells to the
-      sequential path for every [--jobs] value, exactly as it already does
-      for batched cells. Statistics are therefore byte-identical for every
-      [jobs] value.
+    {b Interaction contract with frontier partitioning.} A POR cell always
+    runs on the one-run-at-a-time driver: backtrack sets and sleep sets are
+    global to the walk, so depth-[split_depth] subtrees are not
+    independent; [Sct_parallel.Drivers.run] routes POR cells to the
+    sequential path for every [--jobs] value. Statistics are therefore
+    byte-identical for every [jobs] value.
 
     The reduction assumes full dependence information for the {e visible}
     operations (see {!Op_depend}); unpromoted locations must be race-free,
@@ -129,8 +120,7 @@ end
 
 val strategy_of_walk : ?technique:string -> Walk.t -> Strategy.t
 (** One walk as a single-phase strategy for {!Driver.explore}, mirroring
-    [Dfs.strategy_of_walk]. Declares [supports_por] and {e not}
-    [supports_prefix_batch] (see the interaction contract above). *)
+    [Dfs.strategy_of_walk]. Declares [supports_por]. *)
 
 type result = {
   counted : int;  (** terminal schedules explored *)

@@ -23,7 +23,6 @@ let strategy ?(seed = 0) ?(lo = 0) () : Strategy.t =
     let technique = "Rand"
     let tracks_distinct = true
     let respects_limit = true
-    let supports_prefix_batch = false
     let supports_por = false
 
     type state = { mutable i : int; mutable rng : Random.State.t }

@@ -29,7 +29,6 @@ type t = {
   max_sched_points : int;
   executions : int;
   steps_executed : int;
-  steps_saved : int;
   por_pruned : int;
   cut_runs : int;
   distinct_schedules : Sched_set.t option;
@@ -65,7 +64,6 @@ let base ~technique =
     max_sched_points = 0;
     executions = 0;
     steps_executed = 0;
-    steps_saved = 0;
     por_pruned = 0;
     cut_runs = 0;
     distinct_schedules = None;
@@ -134,7 +132,6 @@ let merge a b =
     max_sched_points = max a.max_sched_points b.max_sched_points;
     executions = a.executions + b.executions;
     steps_executed = a.steps_executed + b.steps_executed;
-    steps_saved = a.steps_saved + b.steps_saved;
     por_pruned = a.por_pruned + b.por_pruned;
     cut_runs = a.cut_runs + b.cut_runs;
     distinct_schedules =
@@ -158,7 +155,6 @@ let equal a b =
   && a.max_sched_points = b.max_sched_points
   && a.executions = b.executions
   && a.steps_executed = b.steps_executed
-  && a.steps_saved = b.steps_saved
   && a.por_pruned = b.por_pruned
   && a.cut_runs = b.cut_runs
   && Option.equal Sched_set.equal a.distinct_schedules b.distinct_schedules
@@ -170,9 +166,6 @@ let pp ppf t =
     t.technique (opt t.bound) (opt t.to_first_bug) t.total t.new_at_bound
     t.buggy t.complete t.hit_limit
     ((if t.hit_deadline then " deadline=true" else "")
-    ^ (if t.steps_saved > 0 then
-         Printf.sprintf " steps=%d saved=%d" t.steps_executed t.steps_saved
-       else "")
     ^ (if t.por_pruned > 0 then Printf.sprintf " por_pruned=%d" t.por_pruned
        else "")
     ^

@@ -43,18 +43,8 @@ type t = {
   executions : int;
       (** real program executions, including bounded-level replays *)
   steps_executed : int;
-      (** scheduler decisions actually paid for. Counted analytically: an
-          unbatched campaign pays every decision of every terminal
-          schedule; a prefix-batched campaign pays each shared prefix once
-          per batch, so [steps_executed] drops by exactly [steps_saved].
-          Both execution back-ends (fork server and re-execution fallback)
-          report the same analytic value, keeping statistics byte-identical
-          across platforms and [--jobs] values. *)
-  steps_saved : int;
-      (** decisions that prefix batching avoided re-executing; [0] on
-          unbatched campaigns. Invariant:
-          [steps_executed + steps_saved] equals the sum of terminal
-          schedule lengths, independent of execution mode. *)
+      (** scheduler decisions paid for: the decisions of every execution,
+          counted or not, summed over the campaign (and by {!merge}) *)
   por_pruned : int;
       (** schedules pruned by partial-order reduction: executions cut
           because every in-bound enabled thread was asleep (the branch

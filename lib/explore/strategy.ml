@@ -23,7 +23,6 @@ module type STRATEGY = sig
   (* declared capabilities *)
   val tracks_distinct : bool
   val respects_limit : bool
-  val supports_prefix_batch : bool
   val supports_por : bool
 
   type state
@@ -54,7 +53,6 @@ type walk_result = {
   complete : bool;
   executions : int;
   steps_executed : int;
-  steps_saved : int;
   n_threads : int;
   max_enabled : int;
   max_sched_points : int;

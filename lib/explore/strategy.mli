@@ -63,26 +63,13 @@ module type STRATEGY = sig
   (** When [false] the campaign's length is intrinsic (MapleAlg attempts
       each candidate once) and the driver ignores the schedule limit. *)
 
-  val supports_prefix_batch : bool
-  (** The technique enumerates a deterministic schedule tree whose sibling
-      continuations share a pinned prefix, so [Techniques.run] may route
-      the campaign through {!Prefix_exec} (pay each shared prefix once per
-      batch) instead of the one-run-at-a-time driver loop. True only for
-      the systematic tree walkers (DFS, IPB, IDB); randomised and
-      profile-guided techniques pick schedules independently, so there is
-      no shared prefix structure to batch. *)
-
   val supports_por : bool
   (** The technique's schedule tree can be walked by the partial-order
       reduction core ({!Por.Walk}): sleep sets and DPOR backtracking prune
       schedules that only commute independent operations, and for the
       bounded walkers the reduction adds the conservative backtracking
       points of BPOR (Coons, Musuvathi, McKinley). True only for the
-      systematic tree walkers (DFS, IPB, IDB) — the same set as
-      [supports_prefix_batch], but the two capabilities are exclusive at
-      run time: a POR cell always runs unbatched, because sleep-set state
-      threads through sibling continuations in walk order and cannot be
-      forked into batched children (see prefix_exec.mli). *)
+      systematic tree walkers (DFS, IPB, IDB). *)
 
   (** {2 Campaign state} *)
 
@@ -138,10 +125,7 @@ type walk_result = {
   complete : bool;  (** the (bounded) tree was exhausted *)
   executions : int;
   steps_executed : int;
-      (** analytic step cost of the walk (see {!Stats.t}): sum of terminal
-          schedule lengths minus [steps_saved] *)
-  steps_saved : int;
-      (** steps avoided by prefix batching; [0] for unbatched walks *)
+      (** decisions of every execution of the walk (see {!Stats.t}) *)
   n_threads : int;
   max_enabled : int;
   max_sched_points : int;

@@ -86,7 +86,6 @@ type options = {
   jobs : int;
   split_depth : int;
   time_limit : float option;
-  prefix_batch : bool;
   por : Por.mode option;
   fair_bound : int;
   length_bound : int;
@@ -103,7 +102,6 @@ let default_options =
     jobs = 1;
     split_depth = 3;
     time_limit = None;
-    prefix_batch = false;
     por = None;
     fair_bound = Axes.default_fair_bound;
     length_bound = Axes.default_length_bound;
@@ -184,26 +182,18 @@ let sharding ?(promote = fun _ -> false) o technique program =
             (Sct_parallel.Drivers.run routes it to the sequential driver)"
            (name technique))
 
-let supports_prefix_batch technique =
+let supports_por technique =
   (* read off the strategy's declared capability; options/program do not
      affect it, so probe with the defaults *)
-  let (module S : Strategy.STRATEGY) =
-    strategy default_options technique ignore
-  in
-  S.supports_prefix_batch
-
-let supports_por technique =
   let (module S : Strategy.STRATEGY) =
     strategy default_options technique ignore
   in
   S.supports_por
 
 (* The POR-composed campaign: the technique's schedule tree walked by the
-   Por.Walk reduction core. Exclusive with prefix batching (see por.mli's
-   interaction contract): when a cell requests both, POR wins and the cell
-   runs unbatched — visible as [steps_saved = 0] in its statistics. The
-   sleep-pruned-run counter is threaded out of the walks through
-   [on_prune] and patched into the final statistics. *)
+   Por.Walk reduction core. The sleep-pruned-run counter is threaded out
+   of the walks through [on_prune] and patched into the final
+   statistics. *)
 let run_por ~promote ~(mode : Por.mode) o technique program =
   let deadline = deadline_of o in
   let pruned = ref 0 in
@@ -230,28 +220,10 @@ let run_por ~promote ~(mode : Por.mode) o technique program =
 
 let run ?(promote = fun _ -> false) o technique program =
   match o.por with
-  | Some mode when supports_por technique -> run_por ~promote ~mode o technique program
+  | Some mode when supports_por technique ->
+      run_por ~promote ~mode o technique program
   | _ ->
-  if o.prefix_batch && supports_prefix_batch technique then begin
-    (* the systematic tree walkers route through the prefix-batching
-       executor; statistics are identical to the driver loop below except
-       for the steps_executed / steps_saved counters *)
-    let deadline = deadline_of o in
-    match technique with
-    | DFS ->
-        Dfs.stats_of ~technique:"DFS"
-          (Prefix_exec.explore ~promote ~max_steps:o.max_steps ?deadline
-             ~bound:Dfs.Unbounded ~limit:o.limit program)
-    | IPB ->
-        Bounded.explore_batched ~promote ~max_steps:o.max_steps ?deadline
-          ~kind:Bounded.Preemption_bounding ~limit:o.limit program
-    | IDB ->
-        Bounded.explore_batched ~promote ~max_steps:o.max_steps ?deadline
-          ~kind:Bounded.Delay_bounding ~limit:o.limit program
-    | Rand | PCT | Maple | SURW | Fair | Length | IVB | ITB -> assert false
-  end
-  else
-    Driver.explore ~promote ~max_steps:o.max_steps ?deadline:(deadline_of o)
+      Driver.explore ~promote ~max_steps:o.max_steps ?deadline:(deadline_of o)
       ~limit:o.limit
       (strategy ~promote o technique program)
       program

@@ -2,8 +2,10 @@
     (paper §5): the race-detection phase followed by any of the IPB, IDB,
     DFS, Rand and MapleAlg phases, plus the PCT and SURW extensions.
 
-    Every technique is a {!Strategy.STRATEGY} value; {!run} is nothing but
-    {!Driver.explore} applied to the registered strategy. *)
+    Every technique is a {!Strategy.STRATEGY} value. {!run} has two
+    routes: the {!Por.Walk} reduction when [options.por] is set and the
+    technique supports it, else {!Driver.explore} applied to the
+    registered strategy. *)
 
 type t =
   | IPB
@@ -60,20 +62,13 @@ type options = {
   time_limit : float option;
       (** wall-clock budget in seconds per campaign; [None] (the default)
           disables the deadline and keeps runs fully deterministic *)
-  prefix_batch : bool;
-      (** route the systematic tree walkers (DFS/IPB/IDB — strategies
-          declaring [supports_prefix_batch]) through {!Prefix_exec},
-          paying each shared schedule prefix once per sibling batch.
-          Statistics are identical except [Stats.steps_executed] /
-          [Stats.steps_saved]; other techniques are unaffected *)
   por : Por.mode option;
       (** compose the systematic tree walkers (strategies declaring
           [supports_por]) with the bounded partial-order reduction of
           {!Por.Walk}: sleep sets / DPOR with BPOR's conservative
-          backtracking points under IPB/IDB bounds. Exclusive with
-          [prefix_batch] — a POR cell always runs unbatched (visible as
-          [Stats.steps_saved = 0]) and sequential for every [jobs] value;
-          other techniques are unaffected *)
+          backtracking points under IPB/IDB bounds. A POR cell runs
+          sequential for every [jobs] value; other techniques are
+          unaffected *)
   fair_bound : int;
       (** the Fair technique's yield-difference bound ([--fair-bound],
           default {!Axes.default_fair_bound}); other techniques ignore it *)
@@ -86,7 +81,7 @@ type options = {
 val default_options : options
 (** [limit = 10_000; seed = 0; max_steps = 100_000; race_runs = 10;
     pct_change_points = 2; maple_profile_runs = 10; jobs = 1;
-    split_depth = 3; time_limit = None; prefix_batch = false; por = None;
+    split_depth = 3; time_limit = None; por = None;
     fair_bound = 5; length_bound = 250]. *)
 
 val deadline_of : options -> float option
@@ -118,10 +113,6 @@ val sharding :
     [Sct_parallel.Drivers] from the capability constructor alone.
     @raise Invalid_argument on a {!sequential_only} technique. *)
 
-val supports_prefix_batch : t -> bool
-(** The technique's declared [supports_prefix_batch] capability (read off
-    its {!Strategy.STRATEGY} instance). *)
-
 val supports_por : t -> bool
 (** The technique's declared [supports_por] capability (read off its
     {!Strategy.STRATEGY} instance): true for the systematic tree walkers
@@ -132,13 +123,9 @@ val run :
 (** Run one technique with an externally supplied promotion predicate
     (defaults to promoting nothing): {!Driver.explore} over {!strategy},
     budgeted by [options.limit] and [options.time_limit]. With
-    [options.prefix_batch], techniques whose strategy declares
-    [supports_prefix_batch] run through {!Prefix_exec} instead — same
-    statistics, plus the step counters. With [options.por], techniques
-    whose strategy declares [supports_por] run the {!Por.Walk} reduction
-    instead — fewer executions to the same bugs, [Stats.por_pruned]
-    counting the sleep-pruned runs; POR takes precedence over
-    [prefix_batch] (see por.mli's interaction contract). *)
+    [options.por], techniques whose strategy declares [supports_por] run
+    the {!Por.Walk} reduction instead — fewer executions to the same bugs,
+    [Stats.por_pruned] counting the sleep-pruned runs. *)
 
 val detect_races : options -> (unit -> unit) -> Sct_race.Promotion.result
 (** Phase 1: the data-race detection phase. *)

@@ -7,7 +7,6 @@ type config = {
   limit : int;
   max_steps : int;
   race_runs : int;
-  prefix_batch : bool;
   por : Por.mode option;
   techniques : Techniques.t list;
 }
@@ -17,7 +16,6 @@ let default_config =
     limit = 500;
     max_steps = 5_000;
     race_runs = 5;
-    prefix_batch = false;
     por = None;
     techniques = Techniques.all;
   }
@@ -57,7 +55,6 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
       seed;
       max_steps = cfg.max_steps;
       race_runs = cfg.race_runs;
-      prefix_batch = cfg.prefix_batch;
       por = cfg.por;
     }
   in
@@ -250,9 +247,7 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
      unrestricted counterpart (modulo the technique name) — the no-bug-lost
      direction of the execution-level filters. *)
   (let m = sub_limit cfg.limit in
-   let o_sub =
-     { o with Techniques.limit = m; prefix_batch = false; por = None }
-   in
+   let o_sub = { o with Techniques.limit = m; por = None } in
    if selected Techniques.Fair && selected Techniques.IPB then begin
      let ipb = Techniques.run ~promote o_sub Techniques.IPB program in
      let fair =
@@ -386,12 +381,7 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
      (fun t ->
        let n = tname t in
        let o_sub =
-         {
-           o with
-           Techniques.limit = por_limit;
-           prefix_batch = false;
-           por = None;
-         }
+         { o with Techniques.limit = por_limit; por = None }
        in
        let plain = Techniques.run ~promote:promote_all o_sub t program in
        let bpor =
@@ -492,40 +482,5 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
           fail "shard-merge" "%s: expected a Shard_seed parallel plan"
             (tname t))
     (List.filter selected [ Techniques.Rand; Techniques.PCT; Techniques.SURW ]);
-
-  (* ---- prefix-batch differential: batched == unbatched modulo steps ---- *)
-  (* When the campaign above ran on the batched executor, re-run each tree
-     technique on the plain driver: everything but the step counters must be
-     byte-identical, and the batched counters must conserve total work
-     (executed + saved = the unbatched step count). *)
-  if cfg.prefix_batch then
-    List.iter
-      (fun (t, (s : Stats.t)) ->
-        if Techniques.supports_prefix_batch t then begin
-          let n = tname t in
-          let plain =
-            Techniques.run ~promote
-              { o with Techniques.prefix_batch = false }
-              t program
-          in
-          require "prefix-batch"
-            (Stats.equal plain
-               {
-                 s with
-                 Stats.steps_executed = plain.Stats.steps_executed;
-                 steps_saved = plain.Stats.steps_saved;
-               })
-            "%s: batched statistics differ from the unbatched driver's" n;
-          require "prefix-batch"
-            (s.Stats.steps_executed + s.Stats.steps_saved
-            = plain.Stats.steps_executed)
-            "%s: steps not conserved (batched %d executed + %d saved, \
-             unbatched %d executed)"
-            n s.Stats.steps_executed s.Stats.steps_saved
-            plain.Stats.steps_executed;
-          require "prefix-batch" (plain.Stats.steps_saved = 0)
-            "%s: the unbatched driver reported saved steps" n
-        end)
-      stats;
 
   List.rev !violations

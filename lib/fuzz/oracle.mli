@@ -56,12 +56,6 @@ type config = {
   limit : int;  (** schedule budget per technique campaign *)
   max_steps : int;  (** per-execution live-lock guard *)
   race_runs : int;  (** executions of the race-detection phase *)
-  prefix_batch : bool;
-      (** run DFS/IPB/IDB campaigns on the prefix-memoizing batched
-          executor, and additionally cross-check each batched campaign
-          against the plain driver: identical statistics modulo the step
-          counters, which must conserve total work
-          ([executed + saved = unbatched executed]). *)
   por : Sct_explore.Por.mode option;
       (** compose the main DFS/IPB/IDB campaigns with partial-order
           reduction, so every generic invariant (algebra, witness replay,
@@ -79,8 +73,8 @@ type config = {
 }
 
 val default_config : config
-(** [limit = 500; max_steps = 5_000; race_runs = 5;
-    prefix_batch = false; por = None; techniques = Techniques.all]. *)
+(** [limit = 500; max_steps = 5_000; race_runs = 5; por = None;
+    techniques = Techniques.all]. *)
 
 type violation = {
   v_invariant : string;  (** stable invariant identifier, e.g. ["inclusion"] *)

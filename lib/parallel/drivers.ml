@@ -58,15 +58,10 @@ let run ~pool ?(promote = fun _ -> false) (o : Techniques.options) technique
     program =
   if
     Pool.size pool <= 1
-    || (o.Techniques.prefix_batch && Techniques.supports_prefix_batch technique)
-    (* prefix-batched tree campaigns stay on the sequential batching
-       executor even under a pool: the frontier partitioning cannot
-       reproduce the batched step counters, and a cell's statistics must
-       stay byte-identical for every [jobs] value *)
     || (o.Techniques.por <> None && Techniques.supports_por technique)
-    (* POR campaigns likewise: backtrack and sleep sets are global to the
-       reduction walk, so depth-[split_depth] subtrees are not independent
-       and the frontier cannot partition them (see por.mli) *)
+    (* POR campaigns stay sequential: backtrack and sleep sets are global
+       to the reduction walk, so depth-[split_depth] subtrees are not
+       independent and the frontier cannot partition them (see por.mli) *)
     || Techniques.sequential_only technique
     (* the Axes bounding techniques declare no parallel plan at all *)
   then Techniques.run ~promote o technique program

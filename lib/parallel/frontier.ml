@@ -68,7 +68,6 @@ let run ~pool ?(split_depth = 3) (tw : Strategy.tree_walk) ~limit :
       complete = true;
       executions = 1;
       steps_executed = res.r_steps;
-      steps_saved = 0;
       n_threads = res.r_n_threads;
       max_enabled = res.r_max_enabled;
       max_sched_points = res.r_multi_points;
@@ -80,7 +79,6 @@ let run ~pool ?(split_depth = 3) (tw : Strategy.tree_walk) ~limit :
   let first_bug = ref None in
   let executions = ref 0 in
   let steps_executed = ref 0 in
-  let steps_saved = ref 0 in
   let n_threads = ref 0 in
   let max_enabled = ref 0 in
   let max_points = ref 0 in
@@ -118,7 +116,6 @@ let run ~pool ?(split_depth = 3) (tw : Strategy.tree_walk) ~limit :
         buggy := !buggy + r.Strategy.buggy;
         executions := !executions + r.Strategy.executions;
         steps_executed := !steps_executed + r.Strategy.steps_executed;
-        steps_saved := !steps_saved + r.Strategy.steps_saved;
         n_threads := max !n_threads r.Strategy.n_threads;
         max_enabled := max !max_enabled r.Strategy.max_enabled;
         max_points := max !max_points r.Strategy.max_sched_points;
@@ -142,7 +139,6 @@ let run ~pool ?(split_depth = 3) (tw : Strategy.tree_walk) ~limit :
     complete = (if !hit || !hit_deadline then false else enum.Strategy.complete);
     executions = !executions;
     steps_executed = !steps_executed;
-    steps_saved = !steps_saved;
     n_threads = !n_threads;
     max_enabled = !max_enabled;
     max_sched_points = !max_points;

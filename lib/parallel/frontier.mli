@@ -34,8 +34,8 @@
     were explored before it), so the partitions are not independent and
     their merge would not reproduce the sequential reduction.
     [Drivers.run] therefore routes POR cells to the sequential path for
-    every [--jobs] value, exactly as it does for prefix-batched cells;
-    a POR cell's statistics are byte-identical for every pool size. *)
+    every [--jobs] value; a POR cell's statistics are byte-identical for
+    every pool size. *)
 
 val run :
   pool:Pool.t ->

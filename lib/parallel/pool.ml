@@ -9,10 +9,10 @@ type t = {
   mutable domains : unit Domain.t array;
   inline : bool;
       (* a one-job pool spawns no worker domain at all: tasks run on the
-         submitting domain at [submit] time. Task order is the FIFO order a
-         single worker would use, and — crucially — the process stays
-         single-domain, so {!Sct_explore.Prefix_exec.fork_available}
-         remains true and sequential runs keep the fork fast path. *)
+         submitting domain at [submit] time, in the FIFO order a single
+         worker would use. A sequential study thus pays no domain spawn or
+         join, and every stop-the-world minor collection involves the
+         submitting domain alone. *)
 }
 
 type 'a outcome =
@@ -59,14 +59,9 @@ let create ~jobs =
       inline = jobs = 1;
     }
   in
-  if not pool.inline then begin
-    (* the OCaml runtime refuses [Unix.fork] in any process that ever
-       spawned a second domain: switch the prefix-batch executor to its
-       portable fallback for the rest of the process *)
-    Sct_explore.Prefix_exec.note_domains_spawned ();
+  if not pool.inline then
     pool.domains <-
-      Array.init jobs (fun _ -> Domain.spawn (fun () -> worker pool))
-  end;
+      Array.init jobs (fun _ -> Domain.spawn (fun () -> worker pool));
   pool
 
 let submit pool fn =

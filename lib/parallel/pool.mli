@@ -20,11 +20,10 @@ val create : jobs:int -> t
 (** [create ~jobs] spawns [max 1 jobs] worker domains — except that a
     one-job pool spawns no domain at all: its tasks run on the submitting
     domain at {!submit} time, in the same FIFO order a single worker would
-    use. Keeping the process single-domain preserves
-    {!Sct_explore.Prefix_exec.fork_available}, so sequential runs keep the
-    fork-server fast path. Creating a pool of two or more workers disables
-    forking for the rest of the process (the OCaml runtime refuses
-    [Unix.fork] once a second domain ever existed). *)
+    use. A sequential ([--jobs 1]) study therefore pays no domain spawn or
+    join, and every stop-the-world minor collection involves the submitting
+    domain alone, so sequential runs cost what the single-domain engine
+    costs. *)
 
 val size : t -> int
 (** Number of workers ([1] for the inline one-job pool). *)

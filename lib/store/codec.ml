@@ -133,9 +133,6 @@ let options_to_json (o : Techniques.options) =
     @ (match o.Techniques.time_limit with
       | None -> []
       | Some s -> [ ("time_limit", time_limit_to_json s) ])
-    @ (* emitted only when on, for the same byte-compatibility reason *)
-    (if o.Techniques.prefix_batch then [ ("prefix_batch", Json.Bool true) ]
-     else [])
     @ (* emitted only when set: POR-free cells keep the pre-POR encoding *)
     (match o.Techniques.por with
     | None -> []
@@ -151,6 +148,9 @@ let options_to_json (o : Techniques.options) =
     else [])
 
 let options_of_json j =
+  (* retired field: stores written before the prefix-batched executor was
+     removed may carry it; it is type-checked and ignored *)
+  ignore (opt_field j "prefix_batch" get_bool : bool option);
   {
     Techniques.limit = get_int (field j "limit");
     seed = get_int (field j "seed");
@@ -161,10 +161,6 @@ let options_of_json j =
     jobs = get_int (field j "jobs");
     split_depth = get_int (field j "split_depth");
     time_limit = opt_field j "time_limit" time_limit_of_json;
-    prefix_batch =
-      (match opt_field j "prefix_batch" get_bool with
-      | Some b -> b
-      | None -> false);
     por =
       opt_field j "por" (fun v ->
           let s = get_string v in
@@ -229,11 +225,8 @@ let stats_to_json (s : Stats.t) =
     ]
     @ (* emitted only when counted: step-free stats (all-zero records,
          pre-counter journals) keep the version-1 byte encoding *)
-    (if s.Stats.steps_executed <> 0 || s.Stats.steps_saved <> 0 then
-       [
-         ("steps_executed", Json.Int s.Stats.steps_executed);
-         ("steps_saved", Json.Int s.Stats.steps_saved);
-       ]
+    (if s.Stats.steps_executed <> 0 then
+       [ ("steps_executed", Json.Int s.Stats.steps_executed) ]
      else [])
     @ (* emitted only when nonzero: POR-free stats keep the pre-POR byte
          encoding *)
@@ -257,6 +250,10 @@ let stats_to_json (s : Stats.t) =
     ])
 
 let stats_of_json j =
+  (* retired field: journals written before the prefix-batched executor
+     was removed carry it next to [steps_executed]; type-checked and
+     ignored *)
+  ignore (opt_field j "steps_saved" get_int : int option);
   {
     Stats.technique = get_string (field j "technique");
     bound = opt_field j "bound" get_int;
@@ -278,10 +275,6 @@ let stats_of_json j =
     executions = get_int (field j "executions");
     steps_executed =
       (match opt_field j "steps_executed" get_int with
-      | Some n -> n
-      | None -> 0);
-    steps_saved =
-      (match opt_field j "steps_saved" get_int with
       | Some n -> n
       | None -> 0);
     por_pruned =

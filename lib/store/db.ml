@@ -45,15 +45,9 @@ let fingerprint ~bench ~technique (o : Techniques.options) =
       @ (match o.Techniques.time_limit with
         | None -> []
         | Some s -> [ ("time_limit", Codec.time_limit_to_json s) ])
-      @ (* also only-when-on: a batched cell's step counters differ from the
-           unbatched cell's, so the two must never alias *)
-      (if o.Techniques.prefix_batch then [ ("prefix_batch", Json.Bool true) ]
-       else [])
       @ (* only-when-set: a reduced cell explores a different schedule set,
            so it must never alias the plain cell (and POR-free fingerprints
-           stay byte-identical to pre-POR stores). Recorded even alongside
-           [prefix_batch] — the run falls back to unbatched, but the request
-           is part of the cell's identity *)
+           stay byte-identical to pre-POR stores) *)
       (match o.Techniques.por with
       | None -> []
       | Some m -> [ ("por", Json.Str (Sct_explore.Por.mode_name m)) ])

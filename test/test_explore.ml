@@ -292,7 +292,6 @@ let gen_stats =
     let* max_sched_points = int_bound 50 in
     let* executions = int_bound 100 in
     let* steps_executed = int_bound 1000 in
-    let* steps_saved = int_bound 1000 in
     let* por_pruned = int_bound 1000 in
     let* distinct =
       option (list_size (int_bound 5) (list_size (int_bound 4) (int_bound 2)))
@@ -315,7 +314,6 @@ let gen_stats =
         max_sched_points;
         executions;
         steps_executed;
-        steps_saved;
         por_pruned;
         distinct_schedules =
           Option.map

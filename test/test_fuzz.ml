@@ -10,7 +10,6 @@ let quick_cfg =
     Oracle.limit = 300;
     max_steps = 3_000;
     race_runs = 3;
-    prefix_batch = false;
     por = None;
     techniques = Sct_explore.Techniques.all;
   }

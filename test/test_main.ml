@@ -20,7 +20,6 @@ let () =
          Test_sctbench.suites;
          Test_report.suites;
          Test_store.suites;
-         Test_prefix_exec.suites;
          Test_parallel.suites;
          Test_campaign.suites;
          Test_robustness.suites;

@@ -46,23 +46,15 @@ let test_pool_cancellation () =
       | _ -> Alcotest.fail "expected Cancelled"
       | exception Pool.Cancelled -> ())
 
-(* a one-job pool runs tasks inline on the submitting domain and — unlike
-   a real worker pool — leaves the prefix-batch fork server available *)
+(* a one-job pool spawns no domain: its tasks run on the submitting
+   domain *)
 let test_pool_inline () =
-  let before = Sct_explore.Prefix_exec.fork_available () in
+  let self = (Domain.self () :> int) in
   Pool.with_pool ~jobs:1 (fun pool ->
       Alcotest.(check int) "size" 1 (Pool.size pool);
-      Alcotest.(check bool) "one-job pool does not disable fork" before
-        (Sct_explore.Prefix_exec.fork_available ());
-      let f = Pool.submit pool (fun () -> 6 * 7) in
-      Alcotest.(check int) "inline task" 42 (Pool.await f));
-  Pool.with_pool ~jobs:2 (fun _pool ->
-      Alcotest.(check bool) "a multi-worker pool disables fork" false
-        (Sct_explore.Prefix_exec.fork_available ()));
-  (* the runtime refuses fork once a second domain ever existed, so the
-     fork server stays off for the rest of the process *)
-  Alcotest.(check bool) "fork stays disabled after shutdown" false
-    (Sct_explore.Prefix_exec.fork_available ())
+      let f = Pool.submit pool (fun () -> (Domain.self () :> int)) in
+      Alcotest.(check int) "task runs on the submitting domain" self
+        (Pool.await f))
 
 let test_pool_many_tasks () =
   Pool.with_pool ~jobs:4 (fun pool ->

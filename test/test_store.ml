@@ -83,7 +83,6 @@ let gen_options =
     let* time_limit =
       option (map (fun i -> float_of_int i /. 8.) (int_range 0 80_000))
     in
-    let* prefix_batch = bool in
     let* por =
       option
         (oneofl
@@ -104,7 +103,6 @@ let gen_options =
         jobs;
         split_depth;
         time_limit;
-        prefix_batch;
         por;
         fair_bound;
         length_bound;
@@ -128,7 +126,6 @@ let gen_stats =
     let* max_sched_points = int_bound 100 in
     let* executions = int_bound 10_000 in
     let* steps_executed = int_bound 500_000 in
-    let* steps_saved = int_bound 500_000 in
     let* por_pruned = int_bound 10_000 in
     let* distinct = option (list_size (int_bound 6) gen_schedule) in
     return
@@ -149,7 +146,6 @@ let gen_stats =
         max_sched_points;
         executions;
         steps_executed;
-        steps_saved;
         por_pruned;
         distinct_schedules = Option.map Stats.Sched_set.of_list distinct;
       })
@@ -243,14 +239,17 @@ let fixture_stats_deadline_value =
     hit_deadline = true;
   }
 
+(* Retired fields: stores written while the prefix-batched executor existed
+   may carry ["prefix_batch"] in options and ["steps_saved"] in stats. They
+   decode (the field is ignored) and re-encode without it. *)
 let fixture_options_prefix_batch =
   {|{"v":1,"options":{"limit":10000,"seed":0,"max_steps":100000,"race_runs":10,"pct_change_points":2,"maple_profile_runs":10,"jobs":1,"split_depth":3,"prefix_batch":true}}|}
 
-let fixture_options_prefix_batch_value =
-  { Techniques.default_options with Techniques.prefix_batch = true }
-
 let fixture_stats_steps =
   {|{"v":1,"stats":{"technique":"DFS","bound":null,"bound_complete":false,"to_first_bug":null,"total":6,"new_at_bound":0,"buggy":0,"complete":true,"hit_limit":false,"first_bug":null,"n_threads":2,"max_enabled":2,"max_sched_points":5,"executions":6,"steps_executed":31,"steps_saved":17,"distinct":null}}|}
+
+let fixture_stats_steps_reencoded =
+  {|{"v":1,"stats":{"technique":"DFS","bound":null,"bound_complete":false,"to_first_bug":null,"total":6,"new_at_bound":0,"buggy":0,"complete":true,"hit_limit":false,"first_bug":null,"n_threads":2,"max_enabled":2,"max_sched_points":5,"executions":6,"steps_executed":31,"distinct":null}}|}
 
 let fixture_stats_steps_value =
   {
@@ -262,7 +261,6 @@ let fixture_stats_steps_value =
     max_sched_points = 5;
     executions = 6;
     steps_executed = 31;
-    steps_saved = 17;
   }
 
 let fixture_options_por =
@@ -338,20 +336,21 @@ let test_fixture_stability () =
     fixture_stats_deadline
     (Codec.encode_stats fixture_stats_deadline_value);
   Alcotest.(check bool)
-    "prefix-batch options fixture decodes" true
+    "prefix-batch options fixture decodes to the defaults" true
     (Codec.decode_options fixture_options_prefix_batch
-    = fixture_options_prefix_batch_value);
+    = Techniques.default_options);
   Alcotest.(check string)
-    "prefix-batch options fixture re-encodes byte-identically"
-    fixture_options_prefix_batch
-    (Codec.encode_options fixture_options_prefix_batch_value);
+    "prefix-batch options fixture re-encodes without the retired field"
+    fixture_options
+    (Codec.encode_options
+       (Codec.decode_options fixture_options_prefix_batch));
   Alcotest.(check stats_t)
     "step-counter stats fixture decodes" fixture_stats_steps_value
     (Codec.decode_stats fixture_stats_steps);
   Alcotest.(check string)
-    "step-counter stats fixture re-encodes byte-identically"
-    fixture_stats_steps
-    (Codec.encode_stats fixture_stats_steps_value);
+    "step-counter stats fixture re-encodes without the retired field"
+    fixture_stats_steps_reencoded
+    (Codec.encode_stats (Codec.decode_stats fixture_stats_steps));
   Alcotest.(check bool)
     "por options fixture decodes" true
     (Codec.decode_options fixture_options_por = fixture_options_por_value);
@@ -559,14 +558,7 @@ let test_fingerprint_ignores_parallelism () =
   Alcotest.(check bool)
     "technique included" true
     (Db.fingerprint ~bench:"B" ~technique:"IPB" o
-    <> Db.fingerprint ~bench:"B" ~technique:"IDB" o);
-  (* batched cells carry different step counters, so they must not alias
-     unbatched ones — but the off value must keep the historical bytes *)
-  Alcotest.(check bool)
-    "prefix_batch included when on" true
-    (Db.fingerprint ~bench:"B" ~technique:"IPB" o
-    <> Db.fingerprint ~bench:"B" ~technique:"IPB"
-         { o with Techniques.prefix_batch = true })
+    <> Db.fingerprint ~bench:"B" ~technique:"IDB" o)
 
 (* --- artifact listing order --- *)
 
@@ -933,6 +925,58 @@ let test_witnesses_replay_as_buggy () =
         witnesses;
       Db.close db)
 
+(* --- stores written while the prefix-batched executor existed --- *)
+
+(* The same DFS cell (CS.reorder_3_bad, limit 5) journalled twice by a
+   build that still had [--prefix-batch]: batched first (its fingerprint
+   carried ["prefix_batch":true]), then unbatched. *)
+let old_journal =
+  String.concat "\n"
+    [
+      {|{"v":1,"key":"2b4f8c7fd693d7c552507ac09cef6ef5","bench":"CS.reorder_3_bad","technique":"DFS","racy":2,"stats":{"technique":"DFS","bound":null,"bound_complete":false,"to_first_bug":null,"total":5,"new_at_bound":0,"buggy":0,"complete":false,"hit_limit":true,"first_bug":null,"n_threads":4,"max_enabled":3,"max_sched_points":7,"executions":5,"steps_executed":21,"steps_saved":24,"distinct":null},"witness":null}|};
+      {|{"v":1,"key":"efabc81b5dedd31095b522e0b29e89ff","bench":"CS.reorder_3_bad","technique":"DFS","racy":2,"stats":{"technique":"DFS","bound":null,"bound_complete":false,"to_first_bug":null,"total":5,"new_at_bound":0,"buggy":0,"complete":false,"hit_limit":true,"first_bug":null,"n_threads":4,"max_enabled":3,"max_sched_points":7,"executions":5,"steps_executed":45,"steps_saved":0,"distinct":null},"witness":null}|};
+      "";
+    ]
+
+let test_old_store_resumes () =
+  with_dir (fun dir ->
+      Out_channel.with_open_bin (Filename.concat dir "journal.jsonl")
+        (fun oc -> output_string oc old_journal);
+      let db = Db.open_ ~dir in
+      Alcotest.(check int) "both old records load" 2 (Db.size db);
+      let o = { Techniques.default_options with Techniques.limit = 5 } in
+      let bench = pick "CS.reorder_3_bad" in
+      let fresh =
+        Sct_report.Run_data.run_benchmark ~techniques:[ Techniques.DFS ] o
+          bench
+      in
+      let resumed =
+        Sct_report.Run_data.run_benchmark ~store:db
+          ~techniques:[ Techniques.DFS ] o bench
+      in
+      Alcotest.(check int)
+        "the unbatched resume finds its cell" 2 (count_journal_lines dir);
+      check_rows_equal [ fresh ] [ resumed ];
+      Db.compact db;
+      Db.close db;
+      let db = Db.open_ ~dir in
+      Alcotest.(check int) "compacted store keeps both records" 2 (Db.size db);
+      Db.close db;
+      let compacted =
+        In_channel.with_open_bin (Filename.concat dir "journal.jsonl")
+          In_channel.input_all
+      in
+      let mentions needle =
+        let n = String.length needle in
+        let rec at i =
+          i + n <= String.length compacted
+          && (String.sub compacted i n = needle || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool)
+        "compaction drops the retired counter" false (mentions "steps_saved"))
+
 let suites =
   [
     ( "store.codec",
@@ -988,5 +1032,7 @@ let suites =
           test_compact_then_resume;
         Alcotest.test_case "recorded witnesses replay as buggy" `Slow
           test_witnesses_replay_as_buggy;
+        Alcotest.test_case "a store with batched records resumes" `Quick
+          test_old_store_resumes;
       ] );
   ]
